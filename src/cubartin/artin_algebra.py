@@ -27,6 +27,8 @@ from .snf import (  # noqa: F401  (re-exported: abelianization backbone)
 from .cube_model import Presentation
 from .words import (
     Word,
+    alternating_word,
+    artin_relation,
     concat,
     exp_sum,
     free_reduce,
@@ -36,14 +38,6 @@ from .words import (
     substitute,
     word_str,
 )
-
-
-def alternating_word(x: str, y: str, n: int) -> Word:
-    return tuple(((x, y)[i % 2], 1) for i in range(n))
-
-
-def artin_relation(u: str, v: str, m: int) -> tuple[Word, Word]:
-    return alternating_word(u, v, m), alternating_word(v, u, m)
 
 
 class DihedralContext:
@@ -103,10 +97,6 @@ def coxeter_enumerate(labels) -> SphericalContext:
     if tuple(labels[:2]) != (3, 2):
         raise ValueError("labels must be (3, 2, m)")
     return SphericalContext(labels[2])
-
-
-def garside_nf(ctx, w: Word) -> GarsideElement:
-    return ctx.garside.word_nf(w)
 
 
 def dihedral_equal(ctx: DihedralContext, w1: Word, w2: Word) -> bool:

@@ -16,9 +16,8 @@ z-loop per vertex, a square per edge, and a prism per square.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from . import defining_graph as dg
+from . import graphs
 from .cube_model import (
     CubeComplex,
     Edge,
@@ -27,21 +26,15 @@ from .cube_model import (
     make_complex,
     Presentation,
 )
-from .words import Word, concat, invert, power
-
-
-def alternating(x: str, y: str, n: int) -> Word:
-    """The length-n alternating word x y x y ..."""
-    return tuple(((x, y)[i % 2], 1) for i in range(n))
-
-
-def artin_relator(u: str, v: str, m: int) -> Word:
-    return concat(alternating(u, v, m), invert(alternating(v, u, m)))
+from .words import Word, artin_relation, concat, invert, power
 
 
 def artin_presentation(g: dg.DefiningGraph) -> Presentation:
-    relators = tuple(artin_relator(u, v, m) for u, v, m in g.edge_list())
-    return Presentation(g.vertices, relators)
+    relators = []
+    for u, v, m in g.edge_list():
+        left, right = artin_relation(u, v, m)
+        relators.append(concat(left, invert(right)))
+    return Presentation(g.vertices, tuple(relators))
 
 
 def build_K_odd(n: int, u: str = "a", v: str = "b", prefix: str = "") -> CubeComplex:
@@ -119,21 +112,21 @@ def build_salvetti(g: dg.DefiningGraph, vertex: str = "v0") -> CubeComplex:
     squares = []
     for u, v, _ in g.edge_list():
         squares.append((f"sq.{u}.{v}", ((u, 1), (v, 1), (u, -1), (v, -1))))
-    graph = nx.Graph()
-    graph.add_nodes_from(g.vertices)
-    graph.add_edges_from(tuple(sorted(p)) for p in g.edges)
-    cubes = [frozenset(c) for c in nx.enumerate_all_cliques(graph) if len(c) >= 3]
+    pairs = [tuple(sorted(p)) for p in g.edges]
+    cubes = [frozenset(c) for c in graphs.cliques(g.vertices, pairs) if len(c) >= 3]
     return make_complex([vertex], edges, squares, cubes, base_vertex=vertex)
 
 
 def _merge(pieces: list[CubeComplex], vertices, base_vertex=None) -> CubeComplex:
     edges, squares, cubes, internal = [], [], set(), set()
-    seen_edges = set()
+    seen_edges: dict[str, Edge] = {}
     for p in pieces:
         for e in p.edges:
             if e.eid not in seen_edges:
-                seen_edges.add(e.eid)
+                seen_edges[e.eid] = e
                 edges.append(e)
+            elif seen_edges[e.eid] != e:
+                raise ValueError(f"edge id {e.eid} names two different edges")
         squares.extend(p.squares)
         cubes |= set(p.salvetti_cubes)
         internal |= set(p.internal_edges)
@@ -178,15 +171,11 @@ def build_from_plan(plan: dg.ConstructionPlan) -> CubeComplex:
     vertices = [base]
     for p in pieces:
         vertices += [v for v in p.vertices if v != base]
-    salvetti_base = base if any(p.base_vertex for p in pieces) or _needs_base(pieces) else None
+    salvetti_base = base if any(p.base_vertex for p in pieces) else None
     c = _merge(pieces, vertices, base_vertex=salvetti_base)
     if plan.times_circle is not None:
         c = build_product_with_circle(c, z_name=plan.times_circle)
     return c
-
-
-def _needs_base(pieces) -> bool:
-    return any(p.salvetti_cubes for p in pieces)
 
 
 def _rename_vertex(c: CubeComplex, old: str, new: str) -> CubeComplex:
@@ -270,14 +259,12 @@ def canonical_spanning_tree(c: CubeComplex) -> frozenset:
     tree = {e.eid for e in c.edges if e.eid == "t" or e.eid.endswith(".t")}
     if len(tree) == len(c.vertices) - 1:
         return frozenset(tree)
-    # fall back to a BFS tree for foreign complexes
-    g = nx.Graph()
-    g.add_nodes_from(c.vertices)
-    for e in c.edges:
-        if not e.is_loop:
-            g.add_edge(e.src, e.dst, eid=e.eid)
-    t = nx.bfs_tree(g, sorted(c.vertices)[0])
-    return frozenset(g.edges[u, v]["eid"] for u, v in t.edges())
+    # fall back to a BFS tree for foreign complexes; the last edge id of a
+    # parallel pair stands for it
+    pairs = [(e.src, e.dst) for e in c.edges]
+    eid = {frozenset(p): e.eid for p, e in zip(pairs, c.edges)}
+    _, tree = graphs.bfs(graphs.adjacency(c.vertices, pairs), min(c.vertices))
+    return frozenset(eid[frozenset(p)] for p in tree)
 
 
 def extracted_presentation(c: CubeComplex) -> Presentation:

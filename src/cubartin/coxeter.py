@@ -91,9 +91,6 @@ class CoxeterTable:
         if sum(1 for i in range(self.size) if self.length[i] == self.length[longest]) != 1:
             raise ValueError("longest element not unique; group not finite Coxeter?")
         self.w0 = longest
-        self._elements = elements
-        self._index = index
-        self._mul_raw = mul
 
     def rmult(self, i: int, g: str) -> int:
         return self._rmult[(i, g)]

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-import networkx as nx
-
+from . import graphs
 from .words import Word, cyclic_reduce, free_reduce, invert
 
 Traversal = tuple[str, int]  # (edge id, +1 forward / -1 backward)
@@ -64,10 +63,6 @@ class CubeComplex:
             object.__setattr__(self, "_edge_map_cache", m)
         return m
 
-    @property
-    def square_map(self) -> dict[str, tuple[Traversal, ...]]:
-        return dict(self.squares)
-
     def tail(self, t: Traversal) -> str:
         e = self.edge(t[0])
         return e.src if t[1] == 1 else e.dst
@@ -86,16 +81,9 @@ class CubeComplex:
                 ends.append((e.eid, -1))
         return ends
 
-    def out_end(self, t: Traversal) -> Traversal:
-        """The end of the traversed edge at its starting vertex."""
-        return (t[0], t[1])
-
     def in_end(self, t: Traversal) -> Traversal:
         """The end of the traversed edge at its finishing vertex."""
         return (t[0], -t[1])
-
-    def zloop_at(self, v: str) -> str:
-        return dict(self.zloops)[v]
 
 
 def _validate(c: CubeComplex) -> None:
@@ -105,6 +93,9 @@ def _validate(c: CubeComplex) -> None:
     eids = [e.eid for e in c.edges]
     if len(set(eids)) != len(eids):
         raise ValueError("duplicate edge ids")
+    sids = [sid for sid, _ in c.squares]
+    if len(set(sids)) != len(sids):
+        raise ValueError("duplicate square ids")
     for e in c.edges:
         if e.src not in vset or e.dst not in vset:
             raise ValueError(f"edge {e.eid} references unknown vertex")
@@ -189,14 +180,6 @@ class LinkComplex:
     link_edges: tuple[tuple[str, frozenset], ...]  # (owning cell id, end pair)
     link_triangles: tuple[frozenset, ...]
 
-    def graph(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(self.link_vertices)
-        for _, pair in self.link_edges:
-            if len(pair) == 2:
-                g.add_edge(*pair)
-        return g
-
 
 def square_corners(c: CubeComplex, sid: str, ts) -> list[tuple[str, Traversal, Traversal]]:
     """The four corners of a square: (vertex, incoming end, outgoing end)."""
@@ -204,7 +187,7 @@ def square_corners(c: CubeComplex, sid: str, ts) -> list[tuple[str, Traversal, T
     for i in range(4):
         cur, nxt = ts[i], ts[(i + 1) % 4]
         v = c.head(cur)
-        corners.append((v, c.in_end(cur), c.out_end(nxt)))
+        corners.append((v, c.in_end(cur), tuple(nxt)))
     return corners
 
 
@@ -275,9 +258,9 @@ def check_npc(c: CubeComplex) -> list[NpcViolation]:
                 seen.add(pair)
         if not simple:
             continue
-        graph = link.graph()
         simplices = set(link.link_triangles)
-        for clique in nx.enumerate_all_cliques(graph):
+        pairs = [tuple(pair) for _, pair in link.link_edges]
+        for clique in graphs.cliques(link.link_vertices, pairs):
             if len(clique) < 3:
                 continue
             labels = frozenset(e for e, _ in clique)
@@ -334,12 +317,8 @@ class Presentation:
 def _is_spanning_tree(c: CubeComplex, tree: frozenset) -> bool:
     if len(tree) != len(c.vertices) - 1:
         return False
-    g = nx.Graph()
-    g.add_nodes_from(c.vertices)
-    for eid in tree:
-        e = c.edge(eid)
-        g.add_edge(e.src, e.dst)
-    return nx.is_connected(g)
+    pairs = [(c.edge(eid).src, c.edge(eid).dst) for eid in tree]
+    return len(graphs.components(c.vertices, pairs)) == 1
 
 
 def extract_presentation(
@@ -429,7 +408,7 @@ def check_local_convexity(c: CubeComplex, circle) -> bool:
     for i in range(len(path)):
         cur, nxt = path[i], path[(i + 1) % len(path)]
         v = c.head(cur)
-        p, q = c.in_end(cur), c.out_end(nxt)
+        p, q = c.in_end(cur), nxt
         if p == q:
             return False
         link = vertex_link(c, v)

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
+from . import graphs
+
 COCOMPACTLY_CUBULATED = "cocompactly-cubulated"
 NOT_COCOMPACTLY_CUBULATED = "not-virtually-cocompactly-cubulated"
 OUTSIDE_CLASSIFICATION = "outside-classification"
@@ -47,14 +49,6 @@ class DefiningGraph:
     def degree(self, v: str) -> int:
         return sum(1 for pair in self.edges if v in pair)
 
-    def neighbours(self, v: str) -> list[str]:
-        out = []
-        for pair in self.edges:
-            if v in pair:
-                (w,) = pair - {v}
-                out.append(w)
-        return sorted(out)
-
     def edge_list(self) -> list[tuple[str, str, int]]:
         out = [(*sorted(pair), m) for pair, m in self.edges.items()]
         return sorted(out)
@@ -63,26 +57,10 @@ class DefiningGraph:
         return self.edges.get(frozenset((u, v)))
 
     def components(self) -> list["DefiningGraph"]:
-        seen: set[str] = set()
-        comps = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            stack, comp = [start], {start}
-            while stack:
-                v = stack.pop()
-                for w in self.neighbours(v):
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(
-                DefiningGraph(
-                    tuple(sorted(comp)),
-                    {p: m for p, m in self.edges.items() if p <= comp},
-                )
-            )
-        return comps
+        return [
+            DefiningGraph(tuple(comp), {p: m for p, m in self.edges.items() if p <= comp})
+            for comp in graphs.components(self.vertices, (tuple(p) for p in self.edges))
+        ]
 
     def renamed(self, mapping: dict[str, str]) -> "DefiningGraph":
         return DefiningGraph(
@@ -105,6 +83,11 @@ def parse_graph(text: str) -> DefiningGraph:
                 raise GraphParseError(line_no, f"bad vertex line: {raw.strip()!r}")
             if parts[1] in vertices:
                 raise GraphParseError(line_no, f"duplicate vertex {parts[1]!r}")
+            if "." in parts[1]:
+                raise GraphParseError(
+                    line_no,
+                    f"vertex name {parts[1]!r} contains '.', which is reserved for generated cell ids",
+                )
             vertices.append(parts[1])
         elif parts[0] == "edge":
             if len(parts) != 4:

@@ -92,9 +92,6 @@ class GarsideContext:
             return GarsideElement(-1, ())
         return GarsideElement(-1, (comp,))
 
-    def delta_power(self, k: int) -> GarsideElement:
-        return GarsideElement(k, ())
-
     def word_nf(self, w: Word) -> GarsideElement:
         out = self.identity
         for g, e in w:

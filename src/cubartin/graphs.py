@@ -1,0 +1,70 @@
+"""The three graph routines the package needs, on plain node/pair lists.
+
+Nodes are any hashable values; a graph is given by its nodes and an iterable
+of (u, v) pairs.  Every result follows the order of first appearance (nodes,
+then pair endpoints), so outputs stay deterministic.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+
+def components(nodes, pairs) -> list[set]:
+    """Connected components by union-find, in order of their first node."""
+    parent = {v: v for v in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in pairs:
+        ru, rv = find(parent.setdefault(u, u)), find(parent.setdefault(v, v))
+        if ru != rv:
+            parent[rv] = ru
+    groups: dict = {}
+    for v in parent:
+        groups.setdefault(find(v), set()).add(v)
+    return list(groups.values())
+
+
+def adjacency(nodes, pairs) -> dict:
+    """Simple-graph adjacency: neighbours in order of first insertion, with
+    loops and repeated pairs dropped."""
+    adj = {v: {} for v in nodes}
+    for u, v in pairs:
+        nu, nv = adj.setdefault(u, {}), adj.setdefault(v, {})
+        if u != v:
+            nu[v] = nv[u] = None
+    return adj
+
+
+def bfs(adj, source) -> tuple[dict, list]:
+    """Distances from source and the (parent, child) edges of its BFS tree."""
+    dist = {source: 0}
+    tree = []
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                tree.append((u, v))
+                queue.append(v)
+    return dist, tree
+
+
+def cliques(nodes, pairs):
+    """Every clique as a list of nodes in node order; cliques come by size,
+    and those of one size in lexicographic node order."""
+    adj = adjacency(nodes, pairs)
+    index = {v: i for i, v in enumerate(adj)}
+    later = {u: {v for v in adj[u] if index[v] > index[u]} for u in adj}
+    queue = deque(([u], sorted(later[u], key=index.__getitem__)) for u in adj)
+    while queue:
+        base, candidates = queue.popleft()
+        yield base
+        for i, u in enumerate(candidates):
+            queue.append((base + [u], [w for w in candidates[i + 1:] if w in later[u]]))

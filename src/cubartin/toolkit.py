@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import networkx as nx
-
+from . import graphs
 from .cube_model import CubeComplex, Edge, make_complex
 
 
@@ -60,35 +59,15 @@ class ProductPartition:
 
 def _edge_classes(c: CubeComplex) -> list[frozenset]:
     """Partition edge ids by the transitive closure of square-opposition."""
-    parent = {e.eid: e.eid for e in c.edges}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
+    opposite = []
     for _, ts in c.squares:
-        union(ts[0][0], ts[2][0])
-        union(ts[1][0], ts[3][0])
-    groups: dict[str, set] = {}
-    for e in c.edges:
-        groups.setdefault(find(e.eid), set()).add(e.eid)
-    return sorted((frozenset(g) for g in groups.values()), key=sorted)
+        opposite += [(ts[0][0], ts[2][0]), (ts[1][0], ts[3][0])]
+    groups = graphs.components((e.eid for e in c.edges), opposite)
+    return sorted((frozenset(g) for g in groups), key=sorted)
 
 
-def _skeleton(c: CubeComplex, without: frozenset = frozenset()) -> nx.MultiGraph:
-    g = nx.MultiGraph()
-    g.add_nodes_from(c.vertices)
-    for e in c.edges:
-        if e.eid not in without:
-            g.add_edge(e.src, e.dst, key=e.eid)
-    return g
+def _skeleton_pairs(c: CubeComplex, without: frozenset = frozenset()) -> list:
+    return [(e.src, e.dst) for e in c.edges if e.eid not in without]
 
 
 class CubicalStructure:
@@ -105,7 +84,7 @@ class CubicalStructure:
                 raise NotCat0Error(f"loop edge {e.eid}: not simply connected")
         hyperplanes = []
         for hid, cls in enumerate(_edge_classes(c)):
-            comps = list(nx.connected_components(_skeleton(c, without=cls)))
+            comps = graphs.components(c.vertices, _skeleton_pairs(c, without=cls))
             if len(comps) != 2:
                 raise NotCat0Error(
                     f"hyperplane {sorted(cls)} splits into {len(comps)} parts"
@@ -248,12 +227,13 @@ class CubicalStructure:
 
     def product_decompose(self) -> ProductPartition:
         """Finest hyperplane partition into pairwise-crossing classes."""
-        g = nx.Graph()
-        g.add_nodes_from(h.hid for h in self.hyperplanes)
-        for h1, h2 in combinations(self.hyperplanes, 2):
-            if not self.crossing(h1, h2):
-                g.add_edge(h1.hid, h2.hid)
-        classes = sorted((frozenset(comp) for comp in nx.connected_components(g)), key=sorted)
+        disjoint = [
+            (h1.hid, h2.hid)
+            for h1, h2 in combinations(self.hyperplanes, 2)
+            if not self.crossing(h1, h2)
+        ]
+        comps = graphs.components((h.hid for h in self.hyperplanes), disjoint)
+        classes = sorted((frozenset(comp) for comp in comps), key=sorted)
         base = min(self.complex.vertices) if self.complex.vertices else None
         factors = []
         for cls in classes:
@@ -286,17 +266,6 @@ class CubicalStructure:
                 return True, (h1.hid, h2.hid, h3.hid)
         return False, None
 
-    def induced_subcomplex(self, vs) -> CubeComplex:
-        return induced_subcomplex(self.complex, vs)
-
-
-def induced_subcomplex(c: CubeComplex, vs) -> CubeComplex:
-    vs = set(vs)
-    edges = [e for e in c.edges if e.src in vs and e.dst in vs]
-    eids = {e.eid for e in edges}
-    squares = [(sid, ts) for sid, ts in c.squares if all(e in eids for e, _ in ts)]
-    return make_complex(sorted(vs), edges, squares)
-
 
 # -- wallspaces and the Sageev dual ----------------------------------------
 
@@ -307,6 +276,8 @@ class Wallspace:
     # or either side; sides are normalized to exclude point 0)
 
     def __post_init__(self):
+        if self.n_points < 1:
+            raise ValueError(f"{self.n_points} points: a wallspace needs at least one")
         for w in self.walls:
             if not w or len(w) == self.n_points:
                 raise ValueError("wall has an empty side")
@@ -332,7 +303,10 @@ def parse_wallspace(text: str) -> Wallspace:
         if parts[0] == "points" and len(parts) == 2:
             if n is not None:
                 raise WallspaceParseError(f"line {line_no}: repeated points record")
-            n = int(parts[1])
+            try:
+                n = int(parts[1])
+            except ValueError:
+                raise WallspaceParseError(f"line {line_no}: bad point count {parts[1]!r}") from None
         elif parts[0] == "wall" and len(parts) == 2:
             if n is None:
                 raise WallspaceParseError(f"line {line_no}: wall before points")
@@ -443,27 +417,17 @@ def is_median(c: CubeComplex, max_vertices: int = 2000) -> bool:
     """
     if len(c.vertices) > max_vertices:
         raise ValueError(f"{len(c.vertices)} vertices exceed the bound {max_vertices}")
-    if any(e.is_loop for e in c.edges):
+    pairs = _skeleton_pairs(c)
+    if len(graphs.components(c.vertices, pairs)) != 1:
         return False
-    g = _skeleton(c)
-    if len(c.vertices) == 0 or not nx.is_connected(g):
+    try:
+        coords = CubicalStructure(c).coords
+    except NotCat0Error:
         return False
-    classes = _edge_classes(c)
-    coords = {v: 0 for v in c.vertices}
-    for hid, cls in enumerate(classes):
-        comps = list(nx.connected_components(_skeleton(c, without=cls)))
-        if len(comps) != 2:
-            return False
-        a, b = comps
-        for eid in cls:
-            e = c.edge(eid)
-            if (e.src in a) == (e.dst in a):
-                return False
-        for v in b:
-            coords[v] |= 1 << hid
     # parallel edges within a class collapse; distinct classes per edge pair
+    adj = graphs.adjacency(c.vertices, pairs)
     for u in c.vertices:
-        dist = nx.single_source_shortest_path_length(g, u)
+        dist, _ = graphs.bfs(adj, u)
         for v, d in dist.items():
             if d != (coords[u] ^ coords[v]).bit_count():
                 return False
@@ -491,8 +455,7 @@ def tree_complex(pairs) -> CubeComplex:
     vertices = sorted({v for p in pairs for v in p})
     edges = [Edge(f"e.{u}.{v}", u, v) for u, v in pairs]
     c = make_complex(vertices, edges, [])
-    g = _skeleton(c)
-    if not nx.is_tree(g):
+    if len(edges) != len(vertices) - 1 or len(graphs.components(vertices, _skeleton_pairs(c))) != 1:
         raise ValueError("pairs do not form a tree")
     return c
 

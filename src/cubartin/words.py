@@ -7,8 +7,6 @@ the corresponding uppercase letter is its inverse, so "abA" means a b a^-1.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
 
@@ -38,10 +36,6 @@ def word_str(w: Word) -> str:
             raise ValueError(f"generator {g!r} has no single-letter ASCII form")
         out.append(g if e == 1 else g.upper())
     return "".join(out)
-
-
-def word(letters: Iterable[Letter]) -> Word:
-    return tuple(letters)
 
 
 def invert(w: Word) -> Word:
@@ -93,6 +87,16 @@ def substitute(w: Word, table: dict[str, Word]) -> Word:
         else:
             out.append((g, e))
     return free_reduce(tuple(out))
+
+
+def alternating_word(x: str, y: str, n: int) -> Word:
+    """The length-n alternating word x y x y ..."""
+    return tuple(((x, y)[i % 2], 1) for i in range(n))
+
+
+def artin_relation(u: str, v: str, m: int) -> tuple[Word, Word]:
+    """The two sides of the Artin relation uvu... = vuv... (m letters each)."""
+    return alternating_word(u, v, m), alternating_word(v, u, m)
 
 
 def rotations(w: Word) -> list[Word]:

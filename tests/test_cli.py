@@ -102,6 +102,17 @@ class TestBuildVerify:
         assert code == 1
         assert "refused: true" in out
 
+    def test_build_refuses_dotted_vertex_name(self, capsys, graph_file, tmp_path):
+        text = (
+            "vertex c\nvertex l\nvertex k\nvertex c.l.x\n"
+            "edge c l 4\nedge c k 2\nedge k c.l.x 2\nedge c c.l.x 2\n"
+        )
+        out_path = tmp_path / "x"
+        code, _, err = run(capsys, "build", "--graph", graph_file(text), "-o", str(out_path))
+        assert code == 2
+        assert "line 4: vertex name 'c.l.x' contains '.'" in err
+        assert not out_path.exists()
+
     def test_verify_flags_bad_complex(self, capsys, tmp_path):
         bad = tmp_path / "bad.complex"
         bad.write_text(
@@ -195,6 +206,18 @@ class TestToolkit:
         assert "error:" in err
         code, _, err = run(capsys, "toolkit", "dual")
         assert code == 2
+
+    @pytest.mark.parametrize("points", ["0", "-3", "x"])
+    def test_dual_refuses_bad_point_count(self, capsys, tmp_path, points):
+        walls = tmp_path / "walls.txt"
+        walls.write_text(f"points {points}\n")
+        out_path = tmp_path / "dual.complex"
+        code, _, err = run(
+            capsys, "toolkit", "dual", "--wallspace", str(walls), "-o", str(out_path)
+        )
+        assert code == 2
+        assert "error:" in err
+        assert not out_path.exists()
 
     def test_non_cat0_complex_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "loop.complex"

@@ -1,5 +1,10 @@
+from itertools import combinations
+
 import networkx as nx
 import pytest
+from conftest import link_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubartin import constructions as cons
 from cubartin import cube_model as cm
@@ -37,7 +42,7 @@ class TestKOdd:
         c = cons.build_K_odd(3)
         assert (len(c.vertices), len(c.edges), len(c.squares)) == (2, 5, 3)
         for v in c.vertices:
-            g = cm.vertex_link(c, v).graph()
+            g = link_graph(cm.vertex_link(c, v))
             assert nx.is_isomorphic(g, nx.complete_bipartite_graph(2, 3))
 
     def test_n5_edge_count(self):
@@ -56,7 +61,7 @@ class TestKEven:
     def test_torus_case(self):
         c = cons.build_K_even(2, "a")
         assert nx.is_isomorphic(
-            cm.vertex_link(c, c.vertices[0]).graph(), nx.cycle_graph(4)
+            link_graph(cm.vertex_link(c, c.vertices[0])), nx.cycle_graph(4)
         )
 
     def test_n6_cells(self):
@@ -81,7 +86,7 @@ def test_K_odd_family(n):
     assert cm.euler_characteristic(c) == 0
     for v in c.vertices:
         assert nx.is_isomorphic(
-            cm.vertex_link(c, v).graph(), nx.complete_bipartite_graph(2, n)
+            link_graph(cm.vertex_link(c, v)), nx.complete_bipartite_graph(2, n)
         )
     p = cons.extracted_presentation(c)
     (rel,) = p.relators
@@ -94,7 +99,7 @@ def test_K_even_family(n):
     assert cm.check_npc(c) == []
     assert cm.euler_characteristic(c) == 0
     assert nx.is_isomorphic(
-        cm.vertex_link(c, c.vertices[0]).graph(), nx.complete_bipartite_graph(2, n)
+        link_graph(cm.vertex_link(c, c.vertices[0])), nx.complete_bipartite_graph(2, n)
     )
     p = cons.extracted_presentation(c)
     (rel,) = p.relators
@@ -217,6 +222,83 @@ class TestProductWithCircle:
             assert (t1, r1) == (t0, r0 + 1)
 
 
+def same_abelianization(g, c):
+    p = cons.extracted_presentation(c)
+    artin = cons.artin_presentation(g)
+    return abelian_invariants(p.exponent_matrix(), len(p.generators)) == abelian_invariants(
+        artin.exponent_matrix(), len(artin.generators)
+    )
+
+
+# the vertex c.l.x once shared its name with the chain edge of the c-l leaf piece
+COLLIDING = (
+    "vertex c\nvertex l\nvertex k\nvertex {x}\n"
+    "edge c l 4\nedge c k 2\nedge k {x} 2\nedge c {x} 2\n"
+)
+
+
+class TestGeneratedIdsCannotCollide:
+    def test_parser_refuses_a_dotted_name(self):
+        with pytest.raises(dg.GraphParseError, match="'c.l.x' contains '.'"):
+            G(COLLIDING.format(x="c.l.x"))
+
+    def test_merge_refuses_a_reused_edge_id(self):
+        g = dg.DefiningGraph(
+            ("c", "l", "k", "c.l.x"),
+            {
+                frozenset(("c", "l")): 4,
+                frozenset(("c", "k")): 2,
+                frozenset(("k", "c.l.x")): 2,
+                frozenset(("c", "c.l.x")): 2,
+            },
+        )
+        with pytest.raises(ValueError, match="edge id c.l.x names two different edges"):
+            cons.build_for_graph(g)
+
+    def test_dot_free_name_builds(self):
+        g = G(COLLIDING.format(x="clx"))
+        c = cons.build_for_graph(g)
+        assert cm.check_npc(c) == []
+        assert same_abelianization(g, c)
+
+
+# names that generated ids use without their dotted prefixes
+ADVERSARIAL = (
+    "a", "b", "c", "g", "t", "x", "z", "v0", "v1", "sq", "zs", "s1", "s2",
+    "e1", "e2", "y1", "y2", "vertex", "edge",
+)
+
+
+@st.composite
+def condition_iii_graphs(draw):
+    n = draw(st.integers(1, 6))
+    name = st.sampled_from(ADVERSARIAL) | st.from_regex(r"[A-Za-z0-9_-]{1,4}", fullmatch=True)
+    names = draw(st.lists(name, min_size=n, max_size=n, unique=True))
+    pairs = [frozenset(p) for p in combinations(names, 2) if draw(st.booleans())]
+    shape = dg.DefiningGraph(tuple(names), {p: 2 for p in pairs})
+    edges = {}
+    for comp in shape.components():
+        tags = dg.classify_edges(comp)
+        for pair in comp.edges:
+            if len(comp.edges) == 1:
+                edges[pair] = draw(st.integers(2, 9))
+            elif tags[pair] == dg.LEAF:
+                edges[pair] = draw(st.sampled_from((2, 4, 6, 8)))
+            else:
+                edges[pair] = 2
+    return dg.DefiningGraph(tuple(names), edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(condition_iii_graphs())
+def test_condition_iii_graphs_build_under_any_dot_free_names(g):
+    g = dg.parse_graph(dg.graph_text(g))
+    assert dg.satisfies_condition_iii(g)[0]
+    c = cons.build_for_graph(g)
+    assert cm.check_npc(c) == []
+    assert same_abelianization(g, c)
+
+
 def test_wedge_of_components():
     g = G(
         "vertex a\nvertex b\nvertex c\nvertex d\nvertex e\n"
@@ -228,4 +310,34 @@ def test_wedge_of_components():
     artin = cons.artin_presentation(g)
     assert abelian_invariants(p.exponent_matrix(), len(p.generators)) == abelian_invariants(
         artin.exponent_matrix(), len(artin.generators)
+    )
+
+
+def test_fallback_spanning_tree_on_foreign_complex():
+    """No t-edges: the tree is a BFS from the least vertex, neighbours taken in
+    order of first insertion, the last edge id of a parallel pair standing for
+    it and loops ignored."""
+    c = cm.make_complex(
+        ["c", "a", "d", "b"],
+        [
+            ("e1", "a", "b"),
+            ("e2", "b", "a"),
+            ("e3", "b", "c"),
+            ("e4", "a", "c"),
+            ("l", "a", "a"),
+            ("e5", "c", "d"),
+            ("e6", "d", "c"),
+            ("e7", "b", "d"),
+        ],
+        [
+            ("s1", (("e1", 1), ("e3", 1), ("e4", -1), ("l", 1))),
+            ("s2", (("e7", 1), ("e6", 1), ("e4", -1), ("e1", 1))),
+        ],
+    )
+    assert cons.canonical_spanning_tree(c) == frozenset({"e2", "e4", "e7"})
+    p = cons.extracted_presentation(c)
+    assert p.generators == ("e1", "e3", "l", "e5", "e6")
+    assert p.relators == (
+        (("e1", 1), ("e3", 1), ("l", 1)),
+        (("e6", 1), ("e1", 1)),
     )

@@ -1,5 +1,6 @@
 import networkx as nx
 import pytest
+from conftest import link_graph
 
 from cubartin import cube_model as cm
 from cubartin import constructions as cons
@@ -56,11 +57,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown vertex"):
             make_complex(["v"], [Edge("e", "v", "w")], [])
 
+    def test_duplicate_square_id(self):
+        with pytest.raises(ValueError, match="duplicate square ids"):
+            make_complex(
+                ["v"],
+                [Edge("a", "v", "v"), Edge("b", "v", "v")],
+                [
+                    ("s", (("a", 1), ("b", 1), ("a", -1), ("b", -1))),
+                    ("s", (("b", 1), ("a", 1), ("b", -1), ("a", -1))),
+                ],
+            )
+
 
 class TestLinks:
     def test_torus_link_is_4_cycle(self):
         link = cm.vertex_link(torus(), "v")
-        g = link.graph()
+        g = link_graph(link)
         assert sorted(g.nodes) == [("a", -1), ("a", 1), ("b", -1), ("b", 1)]
         assert nx.is_isomorphic(g, nx.cycle_graph(4))
 
@@ -73,7 +85,7 @@ class TestLinks:
     def test_K3_links_are_K23(self):
         c = cons.build_K_odd(3)
         for v in c.vertices:
-            g = cm.vertex_link(c, v).graph()
+            g = link_graph(cm.vertex_link(c, v))
             assert nx.is_isomorphic(g, nx.complete_bipartite_graph(2, 3))
 
     def test_unknown_vertex(self):

@@ -52,6 +52,10 @@ class TestParse:
         with pytest.raises(dg.GraphParseError, match="line 1"):
             G("node a\n")
 
+    def test_dot_in_vertex_name(self):
+        with pytest.raises(dg.GraphParseError, match="line 2.*'a.b' contains '.'"):
+            G("vertex a\nvertex a.b\n")
+
     def test_round_trip(self):
         g = G(TRIANGLE_332)
         assert dg.parse_graph(dg.graph_text(g)) == g

@@ -310,6 +310,18 @@ class TestWallspace:
         with pytest.raises(tk.WallspaceParseError):
             tk.parse_wallspace("points 2\nwall 012\n")
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_needs_a_point(self, n):
+        with pytest.raises(ValueError, match="at least one"):
+            tk.Wallspace(n, ())
+        with pytest.raises(tk.WallspaceParseError, match="at least one"):
+            tk.parse_wallspace(f"points {n}\n")
+
+    @pytest.mark.parametrize("count", ["x", "2.5", "0x4"])
+    def test_non_integer_point_count(self, count):
+        with pytest.raises(tk.WallspaceParseError, match="line 1: bad point count"):
+            tk.parse_wallspace(f"points {count}\nwall 01\n")
+
 
 class TestSageevDual:
     def test_two_crossing_walls_square(self):
