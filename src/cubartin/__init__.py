@@ -49,11 +49,11 @@ from .toolkit import (
     sageev_dual,
 )
 from .artin_algebra import (
+    ArtinContext,
     DihedralContext,
     SphericalContext,
     build_phi,
     commutator_membership,
-    dihedral_equal,
     even_rewrite,
     positive_equal,
     smith_normal_form,

@@ -1,23 +1,26 @@
-"""Word problem and identity checks for dihedral and rank-3 spherical
-Artin groups.
+"""Word problem and identity checks for spherical Artin groups.
 
-Dihedral contexts cover A_n = <a, b | aba... = bab...> (n letters per side)
-with the index-2 subgroup A'_n generated by r = ab, s = a b^-1, t = a^-1 b
-(and q = ba = s^-1 r t^-1).  Spherical contexts cover the three-generator
-groups with labels (m_ab, m_bc, m_ac) = (3, 2, m), m in {3, 4, 5}, whose
-Coxeter groups are finite of order 24 / 48 / 120.
+An ArtinContext holds a spherical Artin group <S | s t s ... = t s t ...>
+with its integer Coxeter table (see coxeter.py) and Garside structure.
+Two families are built through it: the dihedral groups
+A_n = <a, b | aba... = bab...> (n letters per side), with the index-2
+subgroup A'_n generated by r = ab, s = a b^-1, t = a^-1 b (and
+q = ba = s^-1 r t^-1); and the three-generator groups with labels
+(m_ab, m_bc, m_ac) = (3, 2, m), m in {3, 4, 5}, whose Coxeter groups are
+A3, B3 and H3 of order 24 / 48 / 120.
 
 Equality is decided by Garside normal forms; an independent bounded BFS
-over length-preserving positive rewritings serves as the oracle.  Lemma
-instances about centers and subgroup intersections are checked at explicit
-bounds and reported as bounded verification, never as proofs.
+over length-preserving positive rewritings, the same braid-move closure
+that names Coxeter elements, serves as the oracle.  Lemma instances about
+centers and subgroup intersections are checked at explicit bounds and
+reported as bounded verification, never as proofs.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .coxeter import dihedral_table, triangle_table
+from .coxeter import CoxeterTable, braid_closure
 from .garside import GarsideContext, GarsideElement
 from .snf import (  # noqa: F401  (re-exported: abelianization backbone)
     abelian_invariants,
@@ -27,10 +30,8 @@ from .snf import (  # noqa: F401  (re-exported: abelianization backbone)
 from .cube_model import Presentation
 from .words import (
     Word,
-    alternating_word,
     artin_relation,
     concat,
-    exp_sum,
     free_reduce,
     invert,
     parse_word,
@@ -40,19 +41,18 @@ from .words import (
 )
 
 
-class DihedralContext:
-    """A_n with its Garside structure and the A'_n letters."""
+class ArtinContext:
+    """Spherical Artin group on gens with labels {(s, t): m_st}."""
 
-    def __init__(self, n: int):
-        if n < 2:
-            raise ValueError("dihedral index must be >= 2")
-        self.n = n
-        self.gens = ("a", "b")
-        self.table = dihedral_table(n)
-        self.garside = GarsideContext(self.table)
-        self.delta_word = alternating_word("a", "b", n)
-        self.z_word = power(self.delta_word, 2) if n % 2 else self.delta_word
-        self.relations = [artin_relation("a", "b", n)]
+    def __init__(self, gens: tuple[str, ...], labels: dict):
+        self.gens = gens
+        self.table = t = CoxeterTable(gens, labels)
+        self.garside = GarsideContext(t)
+        self.delta_word = tuple((g, 1) for g in t.words[t.w0])
+        # Delta is central exactly when tau fixes every generator; otherwise
+        # tau is an involution, so Delta^2 is central
+        self.delta_central = all(t.tau[t.rmult[0][g]] == t.rmult[0][g] for g in gens)
+        self.z_word = self.delta_word if self.delta_central else power(self.delta_word, 2)
 
     def nf(self, w: Word) -> GarsideElement:
         return self.garside.word_nf(w)
@@ -61,46 +61,18 @@ class DihedralContext:
         return self.nf(w1) == self.nf(w2)
 
 
-class SphericalContext:
+def DihedralContext(n: int) -> ArtinContext:
+    """A_n on a, b: the dihedral Artin group with label n."""
+    if n < 2:
+        raise ValueError("dihedral index must be >= 2")
+    return ArtinContext(("a", "b"), {("a", "b"): n})
+
+
+def SphericalContext(m: int) -> ArtinContext:
     """Three-generator spherical Artin group, labels (3, 2, m)."""
-
-    def __init__(self, m: int):
-        if m not in (3, 4, 5):
-            raise ValueError("m must be one of 3, 4, 5")
-        self.m = m
-        self.gens = ("a", "b", "c")
-        self.table = triangle_table(m)
-        self.garside = GarsideContext(self.table)
-        self.delta_word = tuple((g, 1) for g in self.table.words[self.table.w0])
-        self.z_word = (
-            power(self.delta_word, 2) if m == 3 else self.delta_word
-        )
-        self.relations = [
-            artin_relation("a", "b", 3),
-            artin_relation("b", "c", 2),
-            artin_relation("a", "c", m),
-        ]
-
-    @property
-    def coxeter_order(self) -> int:
-        return self.table.size
-
-    def nf(self, w: Word) -> GarsideElement:
-        return self.garside.word_nf(w)
-
-    def equal(self, w1: Word, w2: Word) -> bool:
-        return self.nf(w1) == self.nf(w2)
-
-
-def coxeter_enumerate(labels) -> SphericalContext:
-    """Context from the label triple (m_ab, m_bc, m_ac) = (3, 2, m)."""
-    if tuple(labels[:2]) != (3, 2):
-        raise ValueError("labels must be (3, 2, m)")
-    return SphericalContext(labels[2])
-
-
-def dihedral_equal(ctx: DihedralContext, w1: Word, w2: Word) -> bool:
-    return ctx.equal(w1, w2)
+    if m not in (3, 4, 5):
+        raise ValueError("m must be one of 3, 4, 5")
+    return ArtinContext(("a", "b", "c"), {("a", "b"): 3, ("b", "c"): 2, ("a", "c"): m})
 
 
 # -- the index-2 subgroup A'_n ----------------------------------------------
@@ -147,7 +119,7 @@ for _pair, _val in {
     _PAIR_TABLE[_k] = _pw(_val)
 
 
-def even_rewrite(ctx: DihedralContext, w: Word) -> Word:
+def even_rewrite(w: Word) -> Word:
     """Rewrite an even-length word in a, b as a word in r, s, t."""
     if len(w) % 2:
         raise ValueError("word has odd length")
@@ -162,10 +134,10 @@ def expand_prime(w: Word) -> Word:
     return substitute(w, _EXPAND)
 
 
-def delta_conjugation(ctx: DihedralContext, w: Word) -> Word:
-    """Conjugation by Delta on A'_n letters: for odd n it swaps r and q and
-    inverts s and t; for even n Delta is central, so it is the identity."""
-    if ctx.n % 2 == 0:
+def delta_conjugation(ctx: ArtinContext, w: Word) -> Word:
+    """Conjugation by Delta on A'_n letters: the identity when Delta is
+    central (even n); otherwise (odd n) it swaps r and q and inverts s and t."""
+    if ctx.delta_central:
         return w
     mapping = {"r": "q", "q": "r", "s": "s", "t": "t"}
     out = []
@@ -249,13 +221,12 @@ def subgroup_presentation(p: Presentation, sign: dict) -> Presentation:
 def aprime_presentation(n: int) -> Presentation:
     """Presentation of A'_n on exactly {r, s, t}: rewrite the Artin relator
     and its a-conjugate through the even-word table."""
-    ctx = DihedralContext(n)
     l, r = artin_relation("a", "b", n)
     relator = free_reduce(concat(l, invert(r)))
     conj = free_reduce(concat(parse_word("a"), relator, parse_word("A")))
     return Presentation(
         APRIME_GENS,
-        (even_rewrite(ctx, relator), even_rewrite(ctx, conj)),
+        (even_rewrite(relator), even_rewrite(conj)),
     )
 
 
@@ -286,26 +257,8 @@ def positive_equal(ctx, w1: Word, w2: Word) -> bool:
     return s2 in positive_class(ctx, s1)
 
 
-def positive_class(ctx, letters: tuple) -> set:
-    subs = []
-    for l, r in ctx.relations:
-        ls = tuple(g for g, _ in l)
-        rs = tuple(g for g, _ in r)
-        subs.append((ls, rs))
-        subs.append((rs, ls))
-    seen = {letters}
-    queue = [letters]
-    while queue:
-        cur = queue.pop()
-        for src, dst in subs:
-            k = len(src)
-            for i in range(len(cur) - k + 1):
-                if cur[i : i + k] == src:
-                    nxt = cur[:i] + dst + cur[i + k :]
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
-    return seen
+def positive_class(ctx: ArtinContext, letters: tuple) -> set:
+    return braid_closure(letters, ctx.table.moves)
 
 
 # -- lemma instance checks -----------------------------------------------------
@@ -341,7 +294,7 @@ def _bounded_words(gens, max_len):
                 yield w
 
 
-def bounded_lemma_checks(ctx: SphericalContext, L: int = 6, K: int = 2, M: int = 2) -> dict:
+def bounded_lemma_checks(ctx: ArtinContext, L: int = 6, K: int = 2, M: int = 2) -> dict:
     """Bounded verification of the intersection lemma instances.
 
     (ii): no nonempty reduced word over {a, b} (or {b, c}) of length <= L
@@ -350,6 +303,8 @@ def bounded_lemma_checks(ctx: SphericalContext, L: int = 6, K: int = 2, M: int =
     <= L and |k| <= K.
     Results are bounded verification at (L, K, M), not proofs.
     """
+    if min(L, K, M) < 0:
+        raise ValueError("bounds L, K and M must be >= 0")
     g = ctx.garside
     z_nfs = {}
     for k in range(-K, K + 1):

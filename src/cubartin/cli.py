@@ -361,7 +361,7 @@ def cmd_algebra(args) -> int:
         p = alg.aprime_presentation(args.dihedral)
         w = alg.expand_prime(_parse_cli_word(_require(args.word, "commutator needs --word")))
         # membership is tested in the A'_n presentation on r, s, t
-        word_rst = alg.even_rewrite(alg.DihedralContext(args.dihedral), w)
+        word_rst = alg.even_rewrite(w)
         member = alg.commutator_membership(p, word_rst)
         emit(
             {

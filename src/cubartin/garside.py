@@ -40,15 +40,16 @@ class GarsideContext:
 
     def left_weight_pair(self, x: int, y: int) -> tuple[int, int]:
         """Transfer head letters of y onto x until the pair is left-weighted:
-        x absorbs every s with l(xs) > l(x) and s a left descent of y."""
+        x absorbs every s that is a left descent of y and no right descent
+        of x (so l(xs) > l(x))."""
         t = self.table
         changed = True
         while changed:
             changed = False
             for s in t.gens:
-                if s in t.left_descents(y) and t.length[t.rmult(x, s)] > t.length[x]:
-                    x = t.rmult(x, s)
-                    y = t.lmult(s, y)
+                if s in t.left_descents[y] and s not in t.right_descents[x]:
+                    x = t.rmult[x][s]
+                    y = t.lmult[y][s]
                     changed = True
         return x, y
 
@@ -75,7 +76,7 @@ class GarsideContext:
     # -- arithmetic ----------------------------------------------------------
 
     def tau_power(self, f: int, k: int) -> int:
-        return self.table.tau(f) if k % 2 else f
+        return self.table.tau[f] if k % 2 else f
 
     def mul(self, u: GarsideElement, v: GarsideElement) -> GarsideElement:
         shifted = [self.tau_power(f, v.inf) for f in u.factors]
@@ -83,11 +84,10 @@ class GarsideContext:
 
     def from_letter(self, g: str, e: int) -> GarsideElement:
         t = self.table
-        gi = t.from_word((g,))
         if e == 1:
-            return GarsideElement(0, (gi,))
+            return GarsideElement(0, (t.rmult[0][g],))
         # g^-1 = Delta^-1 (Delta g^-1); the complement lifts w0 g
-        comp = t.mult(t.w0, gi)
+        comp = t.rmult[t.w0][g]
         if comp == 0:
             return GarsideElement(-1, ())
         return GarsideElement(-1, (comp,))

@@ -87,7 +87,7 @@ def test_criterion_2_constructions():
                     link_graph(cm.vertex_link(c, v)), nx.complete_bipartite_graph(2, n)
                 )
             (rel,) = cons.extracted_presentation(c).relators
-            assert aa.dihedral_equal(aa.DihedralContext(n), rel, ())
+            assert aa.DihedralContext(n).equal(rel, ())
         for n in range(2, 17, 2):
             c = cons.build_K_even(n, "a")
             assert cm.check_npc(c) == []
@@ -98,7 +98,7 @@ def test_criterion_2_constructions():
             )
             (rel,) = cons.extracted_presentation(c).relators
             expanded = substitute(rel, {"x": parse_word("ab")})
-            assert aa.dihedral_equal(aa.DihedralContext(n), expanded, ())
+            assert aa.DihedralContext(n).equal(expanded, ())
 
 
 def condition_iii_graphs(max_vertices=5, leaf_labels=(2, 4, 6, 8)):

@@ -23,14 +23,19 @@ class TestContexts:
             aa.DihedralContext(1)
 
     def test_spherical_orders(self):
-        assert aa.SphericalContext(3).coxeter_order == 24
-        assert aa.SphericalContext(4).coxeter_order == 48
-        assert aa.SphericalContext(5).coxeter_order == 120
+        assert aa.SphericalContext(3).table.size == 24
+        assert aa.SphericalContext(4).table.size == 48
+        assert aa.SphericalContext(5).table.size == 120
+        with pytest.raises(ValueError, match="3, 4, 5"):
+            aa.SphericalContext(6)
 
     def test_coxeter_enumerate(self):
-        assert aa.coxeter_enumerate((3, 2, 4)).m == 4
-        with pytest.raises(ValueError, match="3, 2"):
-            aa.coxeter_enumerate((4, 2, 3))
+        # any labelling of a finite rank-3 group, not only (3, 2, m)
+        ctx = aa.ArtinContext(("a", "b", "c"), {("a", "b"): 4, ("b", "c"): 2, ("a", "c"): 3})
+        assert ctx.table.size == 48
+        assert ctx.equal(parse_word("abab"), parse_word("baba"))
+        with pytest.raises(ValueError, match="finite"):
+            aa.ArtinContext(("a", "b", "c"), {("a", "b"): 3, ("b", "c"): 3, ("a", "c"): 3})
 
     def test_relation_holds(self):
         for n in (2, 3, 4, 7):
@@ -46,30 +51,28 @@ class TestContexts:
 
 class TestEvenRewrite:
     def test_basic_pairs(self):
-        ctx = aa.DihedralContext(3)
-        assert aa.even_rewrite(ctx, parse_word("ab")) == parse_word("r")
-        assert aa.even_rewrite(ctx, parse_word("aB")) == parse_word("s")
-        assert aa.even_rewrite(ctx, parse_word("Ab")) == parse_word("t")
-        assert aa.even_rewrite(ctx, parse_word("aA")) == ()
+        assert aa.even_rewrite(parse_word("ab")) == parse_word("r")
+        assert aa.even_rewrite(parse_word("aB")) == parse_word("s")
+        assert aa.even_rewrite(parse_word("Ab")) == parse_word("t")
+        assert aa.even_rewrite(parse_word("aA")) == ()
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError, match="odd"):
-            aa.even_rewrite(aa.DihedralContext(3), parse_word("a"))
+            aa.even_rewrite(parse_word("a"))
 
     def test_round_trip_randomized(self, rng):
         for n in (3, 4, 5):
             ctx = aa.DihedralContext(n)
             for _ in range(60):
                 w = even_words(rng, rng.randint(0, 5))
-                back = aa.expand_prime(aa.even_rewrite(ctx, w))
+                back = aa.expand_prime(aa.even_rewrite(w))
                 assert ctx.equal(back, w)
 
     def test_pair_table_exact_in_free_group(self, rng):
         # the rewrite is exact letter for letter, not just up to relations
-        ctx = aa.DihedralContext(3)
         for _ in range(60):
             w = even_words(rng, rng.randint(1, 5))
-            back = aa.expand_prime(aa.even_rewrite(ctx, w))
+            back = aa.expand_prime(aa.even_rewrite(w))
             assert free_reduce(back) == free_reduce(w)
 
 
@@ -261,3 +264,8 @@ class TestBoundedLemmas:
         assert report["ii_verified"] and report["iii_verified"]
         assert report["violations"] == []
         assert report["bounds"] == {"L": 4, "K": 1, "M": 1}
+
+    @pytest.mark.parametrize("bounds", [{"L": -1}, {"K": -3, "M": -1}, {"M": -1}])
+    def test_negative_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match=">= 0"):
+            aa.bounded_lemma_checks(aa.SphericalContext(3), **bounds)

@@ -1,6 +1,8 @@
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -311,6 +313,13 @@ class TestAlgebra:
         assert "ii_verified: true" in out
         assert "iii_verified: true" in out
 
+    @pytest.mark.parametrize("bounds", [("--L", "-1"), ("--K", "-3", "--M", "-1")])
+    def test_bounded_checks_negative_bound_exits_2(self, capsys, bounds):
+        code, out, err = run(capsys, "algebra", "bounded-checks", "--type", "3", *bounds)
+        assert code == 2
+        assert out == ""
+        assert ">= 0" in err
+
     def test_missing_context_exits_2(self, capsys):
         code, _, err = run(capsys, "algebra", "nf", "--word", "ab")
         assert code == 2
@@ -368,6 +377,16 @@ class TestDeterminism:
             assert r.returncode == 0
             contents.add(out.read_bytes())
         assert len(contents) == 1
+
+    def test_console_script_target_resolves(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["cubartin"]
+        module, _, attr = target.partition(":")
+        assert (module, attr) == ("cubartin.cli", "main")
+        main = getattr(importlib.import_module(module), attr)
+        assert main(["analyze", "--graph", "/does/not/exist"]) == 2
 
     def test_console_script_installed(self):
         r = subprocess.run(

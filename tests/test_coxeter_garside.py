@@ -1,15 +1,6 @@
-from fractions import Fraction
-from itertools import product
-
 import pytest
 
-from cubartin.coxeter import (
-    CoxeterTable,
-    QuadExt,
-    dihedral_table,
-    qnum,
-    triangle_table,
-)
+from cubartin.coxeter import CoxeterTable
 from cubartin.garside import GarsideContext, GarsideElement
 from cubartin.snf import (
     abelian_invariants,
@@ -21,28 +12,77 @@ from cubartin.snf import (
 from cubartin.words import concat, invert, parse_word
 
 
-# -- QuadExt ------------------------------------------------------------------
+def triangle_labels(m):
+    """Labels (m_ab, m_bc, m_ac) = (3, 2, m): A3, B3, H3 for m = 3, 4, 5."""
+    return {("a", "b"): 3, ("b", "c"): 2, ("a", "c"): m}
 
-class TestQuadExt:
-    def test_sqrt2_squares_to_two(self):
-        r = qnum(0, 1, 2)
-        assert r * r == qnum(2, 0, 2)
 
-    def test_golden_ratio_identity(self):
-        # cos(pi/5) = (1 + sqrt 5)/4 satisfies 4c^2 = 2c + 1
-        c = QuadExt(Fraction(1, 4), Fraction(1, 4), 5)
-        assert (4 * (c * c)) - (2 * c + qnum(1, 0, 5)) == qnum(0, 0, 5)
+def dihedral_table(n):
+    return CoxeterTable(("a", "b"), {("a", "b"): n})
 
-    def test_mixed_fields_rejected(self):
-        with pytest.raises(ValueError, match="mixed"):
-            qnum(1, 0, 2) + qnum(1, 0, 5)
 
-    def test_neg_and_is_zero(self):
-        x = qnum(3, -2, 5)
-        assert (x + (-x)).is_zero()
+def triangle_table(m):
+    return CoxeterTable(("a", "b", "c"), triangle_labels(m))
 
 
 # -- Coxeter tables -----------------------------------------------------------
+
+TABLES = [(f"I2({n})", ("a", "b"), {("a", "b"): n}, 2 * n) for n in range(2, 16)] + [
+    (name, ("a", "b", "c"), triangle_labels(m), size)
+    for name, m, size in (("A3", 3, 24), ("B3", 4, 48), ("H3", 5, 120))
+]
+
+
+@pytest.mark.parametrize(
+    "gens,labels,size", [t[1:] for t in TABLES], ids=[t[0] for t in TABLES]
+)
+class TestCoxeterPresentation:
+    """The table as a permutation action, checked against the Coxeter
+    presentation <S | s^2, (st)^m_st> without the braid closure: a transitive
+    action on |W| points by involutions that satisfy exactly these relations
+    is the regular action of W."""
+
+    def test_generators_are_involutive_permutations(self, gens, labels, size):
+        t = CoxeterTable(gens, labels)
+        for g in gens:
+            perm = [t.rmult[i][g] for i in range(t.size)]
+            assert sorted(perm) == list(range(t.size))
+            assert all(perm[perm[i]] == i != perm[i] for i in range(t.size))
+
+    def test_pair_orders(self, gens, labels, size):
+        t = CoxeterTable(gens, labels)
+        for (s, u), m in labels.items():
+            for i in range(t.size):
+                j = i
+                for k in range(1, m + 1):
+                    j = t.rmult[t.rmult[j][s]][u]
+                    assert (j == i) == (k == m)
+
+    def test_transitive(self, gens, labels, size):
+        t = CoxeterTable(gens, labels)
+        seen, stack = {0}, [0]
+        while stack:
+            i = stack.pop()
+            for j in t.rmult[i].values():
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        assert len(seen) == t.size == size
+
+    def test_derived_tables_match_definitions(self, gens, labels, size):
+        t = CoxeterTable(gens, labels)
+        for i in range(t.size):
+            assert t.from_word(t.words[i]) == i
+            assert t.mult(i, t.inv[i]) == 0
+            assert t.tau[i] == t.mult(t.mult(t.w0, i), t.w0)
+            for g in t.gens:
+                assert t.lmult[i][g] == t.from_word((g,) + t.words[i])
+                shorter = t.length[t.rmult[i][g]] < t.length[i]
+                assert (g in t.right_descents[i]) == shorter
+                shorter = t.length[t.lmult[i][g]] < t.length[i]
+                assert (g in t.left_descents[i]) == shorter
+        assert [i for i in range(t.size) if t.length[i] == max(t.length)] == [t.w0]
+
 
 class TestDihedral:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
@@ -63,17 +103,17 @@ class TestDihedral:
 
     def test_tau_swaps_generators_odd(self):
         t = dihedral_table(5)
-        assert t.tau(t.from_word("a")) == t.from_word("b")
+        assert t.tau[t.from_word("a")] == t.from_word("b")
 
     def test_tau_fixes_generators_even(self):
         t = dihedral_table(4)
-        assert t.tau(t.from_word("a")) == t.from_word("a")
+        assert t.tau[t.from_word("a")] == t.from_word("a")
 
     def test_descents(self):
         t = dihedral_table(3)
         ab = t.from_word("ab")
-        assert t.left_descents(ab) == frozenset({"a"})
-        assert t.right_descents(ab) == frozenset({"b"})
+        assert t.left_descents[ab] == frozenset({"a"})
+        assert t.right_descents[ab] == frozenset({"b"})
 
     def test_rejects_small(self):
         with pytest.raises(ValueError):
@@ -106,11 +146,26 @@ class TestTriangle:
     def test_inverse(self):
         t = triangle_table(3)
         for i in range(t.size):
-            assert t.mult(i, t.inv(i)) == 0
+            assert t.mult(i, t.inv[i]) == 0
 
     def test_rejects_other_labels(self):
         with pytest.raises(ValueError):
             triangle_table(6)
+
+    @pytest.mark.parametrize(
+        "gens,labels",
+        [
+            (("a", "b", "c"), {("a", "b"): 3, ("b", "c"): 3}),
+            (("a", "b"), {("a", "b"): 3, ("b", "a"): 3}),
+            (("a", "b"), {("a", "c"): 3}),
+            (("a", "b"), {("a", "b"): 2.5}),
+            (tuple("abcd"), {p: 2 for p in [("a", "b"), ("a", "c"), ("a", "d"),
+                                             ("b", "c"), ("b", "d"), ("c", "d")]}),
+        ],
+    )
+    def test_rejects_malformed_labels(self, gens, labels):
+        with pytest.raises(ValueError):
+            CoxeterTable(gens, labels)
 
 
 # -- Garside normal forms ------------------------------------------------------
