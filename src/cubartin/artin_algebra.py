@@ -61,10 +61,19 @@ class ArtinContext:
         return self.nf(w1) == self.nf(w2)
 
 
+# table memory grows as n^2: at n = 1000 a process peaks at 26 MB, and its
+# slowest command, `algebra phi`, takes about 5 s
+MAX_DIHEDRAL = 1000
+# bounded_lemma_checks takes 23-26 s per type at L = 9, x3.3 per step of L
+MAX_L = 9
+
+
 def DihedralContext(n: int) -> ArtinContext:
     """A_n on a, b: the dihedral Artin group with label n."""
     if n < 2:
         raise ValueError("dihedral index must be >= 2")
+    if n > MAX_DIHEDRAL:
+        raise ValueError(f"dihedral index {n} exceeds the bound {MAX_DIHEDRAL}")
     return ArtinContext(("a", "b"), {("a", "b"): n})
 
 
@@ -305,6 +314,8 @@ def bounded_lemma_checks(ctx: ArtinContext, L: int = 6, K: int = 2, M: int = 2) 
     """
     if min(L, K, M) < 0:
         raise ValueError("bounds L, K and M must be >= 0")
+    if L > MAX_L:
+        raise ValueError(f"L = {L} exceeds the bound {MAX_L}")
     g = ctx.garside
     z_nfs = {}
     for k in range(-K, K + 1):

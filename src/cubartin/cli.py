@@ -176,10 +176,10 @@ def cmd_verify(args) -> int:
     if not c.vertices:
         raise InputError("empty complex")
     violations = cube_model.check_npc(c)
-    links = {}
-    for v in c.vertices:
-        link = cube_model.vertex_link(c, v)
-        links[v] = f"{len(link.link_vertices)} ends, {len(link.link_edges)} corners"
+    links = {
+        v: f"{len(link.link_vertices)} ends, {len(link.link_edges)} corners"
+        for v, link in cube_model.vertex_links(c).items()
+    }
     payload = {
         "command": "verify",
         "npc": not violations,
@@ -334,10 +334,11 @@ def cmd_algebra(args) -> int:
         if args.dihedral is None:
             raise InputError("phi needs --dihedral n (odd)")
         try:
+            # the context refuses an index past its bound before phi is built
+            ctx = alg.DihedralContext(args.dihedral)
             phi = alg.build_phi(args.dihedral)
         except ValueError as exc:
             raise InputError(str(exc)) from None
-        ctx = alg.DihedralContext(args.dihedral)
         expanded = alg.expand_prime(phi)
         checks = {
             "exp_r_zero": exp_sum(phi, "r") == 0,
@@ -447,10 +448,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -26,7 +26,7 @@ from .cube_model import (
     make_complex,
     Presentation,
 )
-from .words import Word, artin_relation, concat, invert, power
+from .words import artin_relation, concat, invert
 
 
 def artin_presentation(g: dg.DefiningGraph) -> Presentation:
@@ -271,8 +271,3 @@ def extracted_presentation(c: CubeComplex) -> Presentation:
     """Composite-mode presentation over the canonical spanning tree."""
     return extract_presentation(c, canonical_spanning_tree(c), composite=True)
 
-
-def expected_even_relator(g: str, x: str, n: int) -> Word:
-    """g x^{n/2} g^-1 x^{-n/2}, the composite relator of K_{n,g}."""
-    half = power(((x, 1),), n // 2)
-    return concat(((g, 1),), half, ((g, -1),), invert(half))

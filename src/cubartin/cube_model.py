@@ -71,16 +71,6 @@ class CubeComplex:
         e = self.edge(t[0])
         return e.dst if t[1] == 1 else e.src
 
-    def ends_at(self, v: str) -> list[Traversal]:
-        """Edge-ends incident to v: (e, +1) = outgoing end, (e, -1) = incoming."""
-        ends = []
-        for e in self.edges:
-            if e.src == v:
-                ends.append((e.eid, 1))
-            if e.dst == v:
-                ends.append((e.eid, -1))
-        return ends
-
     def in_end(self, t: Traversal) -> Traversal:
         """The end of the traversed edge at its finishing vertex."""
         return (t[0], -t[1])
@@ -191,35 +181,44 @@ def square_corners(c: CubeComplex, sid: str, ts) -> list[tuple[str, Traversal, T
     return corners
 
 
-def vertex_link(c: CubeComplex, v: str) -> LinkComplex:
-    if v not in c.vertices:
-        raise ValueError(f"unknown vertex {v!r}")
-    ends = tuple(sorted(c.ends_at(v)))
-    edges = []
+def vertex_links(c: CubeComplex) -> dict[str, LinkComplex]:
+    """Every vertex link, from one pass over the edges, squares, Salvetti
+    cubes and prisms; memoised on the complex like its edge map."""
+    links = getattr(c, "_links_cache", None)
+    if links is not None:
+        return links
+    ends, corners, triangles = ({v: [] for v in c.vertices} for _ in range(3))
+    for e in c.edges:
+        ends[e.src].append((e.eid, 1))
+        ends[e.dst].append((e.eid, -1))
     for sid, ts in c.squares:
         for w, p, q in square_corners(c, sid, ts):
-            if w == v:
-                edges.append((sid, frozenset((p, q))))
-    triangles: list[frozenset] = []
-    if v == c.base_vertex:
-        for cube in sorted(c.salvetti_cubes, key=sorted):
-            labels = sorted(cube)
-            for signs in product((1, -1), repeat=len(labels)):
-                simplex = frozenset(zip(labels, signs))
-                if len(labels) == 3:
-                    triangles.append(simplex)
-                else:
-                    for tri in combinations(sorted(simplex), 3):
-                        triangles.append(frozenset(tri))
+            corners[w].append((sid, frozenset((p, q))))
+    for cube in sorted(c.salvetti_cubes, key=sorted):
+        labels = sorted(cube)
+        for signs in product((1, -1), repeat=len(labels)):
+            simplex = sorted(zip(labels, signs))
+            triangles[c.base_vertex] += map(frozenset, combinations(simplex, 3))
     zmap = dict(c.zloops)
     smap = dict(c.squares)
     for sid in c.prisms:
         for w, p, q in square_corners(c, sid, smap[sid]):
-            if w == v:
-                z = zmap[v]
-                triangles.append(frozenset((p, q, (z, 1))))
-                triangles.append(frozenset((p, q, (z, -1))))
-    return LinkComplex(v, ends, tuple(edges), tuple(dict.fromkeys(triangles)))
+            z = zmap[w]
+            triangles[w].append(frozenset((p, q, (z, 1))))
+            triangles[w].append(frozenset((p, q, (z, -1))))
+    links = {
+        v: LinkComplex(v, tuple(sorted(ends[v])), tuple(corners[v]), tuple(dict.fromkeys(tris)))
+        for v, tris in triangles.items()
+    }
+    object.__setattr__(c, "_links_cache", links)
+    return links
+
+
+def vertex_link(c: CubeComplex, v: str) -> LinkComplex:
+    link = vertex_links(c).get(v)
+    if link is None:
+        raise ValueError(f"unknown vertex {v!r}")
+    return link
 
 
 # -- nonpositive curvature ------------------------------------------------
@@ -238,8 +237,7 @@ def check_npc(c: CubeComplex) -> list[NpcViolation]:
     flag condition is the absence of triangles in the link graph.
     """
     violations = []
-    for v in c.vertices:
-        link = vertex_link(c, v)
+    for v, link in vertex_links(c).items():
         seen: set[frozenset] = set()
         simple = True
         for cell, pair in link.link_edges:
@@ -405,13 +403,13 @@ def check_local_convexity(c: CubeComplex, circle) -> bool:
     for i in range(len(path)):
         if c.head(path[i]) != c.tail(path[(i + 1) % len(path)]):
             raise ValueError("path not closed")
+    links = vertex_links(c)
     for i in range(len(path)):
         cur, nxt = path[i], path[(i + 1) % len(path)]
-        v = c.head(cur)
         p, q = c.in_end(cur), nxt
         if p == q:
             return False
-        link = vertex_link(c, v)
+        link = links[c.head(cur)]
         if any(pair == frozenset((p, q)) for _, pair in link.link_edges):
             return False
     return True

@@ -84,6 +84,8 @@ class GarsideContext:
 
     def from_letter(self, g: str, e: int) -> GarsideElement:
         t = self.table
+        if g not in t.gens:
+            raise ValueError(f"unknown letter {g!r}, not one of {' '.join(t.gens)}")
         if e == 1:
             return GarsideElement(0, (t.rmult[0][g],))
         # g^-1 = Delta^-1 (Delta g^-1); the complement lifts w0 g

@@ -70,6 +70,18 @@ def _skeleton_pairs(c: CubeComplex, without: frozenset = frozenset()) -> list:
     return [(e.src, e.dst) for e in c.edges if e.eid not in without]
 
 
+def _hull_mask(coords) -> tuple[int, int]:
+    """(fixed, value) for a nonempty set of side bitmasks: the hyperplanes
+    the set does not cross, and the side it lies on for each.  The set's
+    convex hull, the intersection of the halfspaces containing it, is every
+    vertex x with (x ^ value) & fixed == 0."""
+    lo, hi = -1, 0
+    for x in coords:
+        lo &= x
+        hi |= x
+    return ~(lo ^ hi), lo
+
+
 class CubicalStructure:
     """Immutable hyperplane handle over a certified CAT(0) complex.
 
@@ -107,27 +119,16 @@ class CubicalStructure:
     def distance(self, u: str, v: str) -> int:
         return (self.coords[u] ^ self.coords[v]).bit_count()
 
-    def set_distance(self, us, vs) -> int:
-        return min(self.distance(u, v) for u in us for v in vs)
-
     def hyperplane_of(self, eid: str) -> Hyperplane:
         return self.hyperplanes[self._edge_to_hid[eid]]
 
     def crosses(self, s) -> frozenset:
         """Hyperplane ids with vertices of s on both sides."""
         s = set(s)
-        out = set()
-        for h in self.hyperplanes:
-            if s & h.plus and s & h.minus:
-                out.add(h.hid)
-        return frozenset(out)
+        return frozenset(h.hid for h in self.hyperplanes if s & h.plus and s & h.minus)
 
     def crossing(self, h1: Hyperplane, h2: Hyperplane) -> bool:
-        return all(
-            a & b
-            for a in (h1.plus, h1.minus)
-            for b in (h2.plus, h2.minus)
-        )
+        return all(a & b for a in (h1.plus, h1.minus) for b in (h2.plus, h2.minus))
 
     def _side_of(self, h: Hyperplane, s) -> int:
         s = set(s)
@@ -138,11 +139,8 @@ class CubicalStructure:
         return 0
 
     def carrier_vertices(self, h: Hyperplane) -> frozenset:
-        out = set()
-        for eid in h.edges:
-            e = self.complex.edge(eid)
-            out.update((e.src, e.dst))
-        return frozenset(out)
+        edges = [self.complex.edge(eid) for eid in h.edges]
+        return frozenset(v for e in edges for v in (e.src, e.dst))
 
     # -- hulls and gates ----------------------------------------------------
 
@@ -151,27 +149,19 @@ class CubicalStructure:
         s = set(s)
         if not s:
             raise ValueError("empty vertex set has no hull")
-        if not s <= set(self.complex.vertices):
+        if not all(v in self.coords for v in s):
             raise ValueError("vertex set not in the complex")
-        hull = set(self.complex.vertices)
-        for h in self.hyperplanes:
-            side = self._side_of(h, s)
-            if side == 1:
-                hull &= h.plus
-            elif side == -1:
-                hull &= h.minus
-        return frozenset(hull)
+        fixed, value = _hull_mask(self.coords[v] for v in s)
+        return frozenset(v for v, x in self.coords.items() if (x ^ value) & fixed == 0)
 
     def is_convex(self, s) -> bool:
         return self.convex_hull(s) == frozenset(s)
 
     def separators(self, y1, y2) -> frozenset:
-        out = set()
-        for h in self.hyperplanes:
-            s1, s2 = self._side_of(h, y1), self._side_of(h, y2)
-            if s1 != 0 and s2 != 0 and s1 != s2:
-                out.add(h.hid)
-        return frozenset(out)
+        """Hyperplane ids with y1 on one side and y2 on the other."""
+        (f1, v1), (f2, v2) = (_hull_mask(self.coords[v] for v in y) for y in (y1, y2))
+        sep = f1 & f2 & (v1 ^ v2)
+        return frozenset(h.hid for h in self.hyperplanes if sep >> h.hid & 1)
 
     def gates(self, y1, y2) -> GatePair:
         y1, y2 = frozenset(y1), frozenset(y2)
@@ -247,23 +237,14 @@ class CubicalStructure:
     def has_facing_triple(self):
         """Three pairwise-disjoint hyperplanes, none separating the other two."""
         carriers = {h.hid: self.carrier_vertices(h) for h in self.hyperplanes}
-        for h1, h2, h3 in combinations(self.hyperplanes, 3):
-            if (
-                self.crossing(h1, h2)
-                or self.crossing(h1, h3)
-                or self.crossing(h2, h3)
-            ):
+        for triple in combinations(self.hyperplanes, 3):
+            if any(self.crossing(a, b) for a, b in combinations(triple, 2)):
                 continue
-            triple = (h1, h2, h3)
-            facing = True
-            for i, h in enumerate(triple):
-                others = [triple[j] for j in range(3) if j != i]
-                sides = [self._side_of(h, carriers[o.hid]) for o in others]
-                if sides[0] != sides[1]:
-                    facing = False
-                    break
-            if facing:
-                return True, (h1.hid, h2.hid, h3.hid)
+            if all(
+                len({self._side_of(h, carriers[o.hid]) for o in triple if o is not h}) == 1
+                for h in triple
+            ):
+                return True, tuple(h.hid for h in triple)
         return False, None
 
 
@@ -408,35 +389,45 @@ def sageev_dual(w: Wallspace, max_walls: int = 16) -> CubeComplex:
 # -- median certificate ------------------------------------------------------
 
 def is_median(c: CubeComplex, max_vertices: int = 2000) -> bool:
-    """Whether the complex's 1-skeleton is a median graph.
+    """Whether the 1-skeleton is a median graph, that is, the 1-skeleton of a
+    CAT(0) cube complex (Chepoi 2000).
 
-    Characterization used: the graph embeds isometrically in a hypercube
-    along its square-opposition edge classes (each class splits the graph
-    into exactly two sides) and the vertex set is closed under the
-    coordinatewise majority (median) operation.
+    Characterization used (Mulder's convex expansions): the graph is a
+    partial cube along its square-opposition edge classes -- each class
+    splits it into exactly two sides, and graph distance equals the Hamming
+    distance of the side bitmasks -- and for every hyperplane the carrier
+    vertices on each side are convex.  An edge flips only its own
+    hyperplane's bit, so the distances are equal iff no vertex u != v agrees
+    with v on every bit that v's edges flip.  Cost, for V vertices, E edges
+    and H hyperplanes: O(H E) for the split, O(V^2) integer operations for
+    the distances and O(H V) mask operations for the convexity.
     """
     if len(c.vertices) > max_vertices:
         raise ValueError(f"{len(c.vertices)} vertices exceed the bound {max_vertices}")
-    pairs = _skeleton_pairs(c)
-    if len(graphs.components(c.vertices, pairs)) != 1:
+    if len(graphs.components(c.vertices, _skeleton_pairs(c))) != 1:
         return False
     try:
-        coords = CubicalStructure(c).coords
+        s = CubicalStructure(c)
     except NotCat0Error:
         return False
-    # parallel edges within a class collapse; distinct classes per edge pair
-    adj = graphs.adjacency(c.vertices, pairs)
-    for u in c.vertices:
-        dist, _ = graphs.bfs(adj, u)
-        for v, d in dist.items():
-            if d != (coords[u] ^ coords[v]).bit_count():
-                return False
-    cs = sorted(coords.values())
-    vset = set(cs)
-    if len(vset) != len(cs):
+    coords = s.coords
+    cs = list(coords.values())
+    if len(set(cs)) != len(cs):
         return False
-    for cu, cv, cw in combinations(cs, 3):
-        if (cu & cv) | (cu & cw) | (cv & cw) not in vset:
+    flips = dict.fromkeys(c.vertices, 0)
+    carriers = [(set(), set()) for _ in s.hyperplanes]  # minus, plus side
+    for h in s.hyperplanes:
+        for e in map(c.edge, h.edges):
+            flips[e.src] |= 1 << h.hid
+            flips[e.dst] |= 1 << h.hid
+            for x in (coords[e.src], coords[e.dst]):
+                carriers[h.hid][x >> h.hid & 1].add(x)
+    for v, f in flips.items():
+        if [x & f for x in cs].count(coords[v] & f) != 1:
+            return False
+    for side in (side for pair in carriers for side in pair):
+        fixed, value = _hull_mask(side)
+        if [(x ^ value) & fixed for x in cs].count(0) != len(side):
             return False
     return True
 

@@ -1,0 +1,88 @@
+"""Direct, slow versions of the cube certificates, kept as test oracles.
+
+`rescan_vertex_link` builds one link by scanning every edge, square, cube
+and prism of the complex (O(V S) over all vertices); `triple_loop_median`
+checks every pair distance by breadth-first search and closes the vertex
+coordinates under the majority of every triple (O(V^3)).  The library's
+one-pass `vertex_links` and mask-based `is_median` must agree with them.
+"""
+
+from itertools import combinations, product
+
+from cubartin import graphs
+from cubartin.cube_model import LinkComplex, square_corners
+from cubartin.toolkit import CubicalStructure, NotCat0Error
+
+
+def rescan_vertex_link(c, v) -> LinkComplex:
+    if v not in c.vertices:
+        raise ValueError(f"unknown vertex {v!r}")
+    ends = []
+    for e in c.edges:
+        if e.src == v:
+            ends.append((e.eid, 1))
+        if e.dst == v:
+            ends.append((e.eid, -1))
+    edges = []
+    for sid, ts in c.squares:
+        for w, p, q in square_corners(c, sid, ts):
+            if w == v:
+                edges.append((sid, frozenset((p, q))))
+    triangles = []
+    if v == c.base_vertex:
+        for cube in sorted(c.salvetti_cubes, key=sorted):
+            labels = sorted(cube)
+            for signs in product((1, -1), repeat=len(labels)):
+                simplex = frozenset(zip(labels, signs))
+                if len(labels) == 3:
+                    triangles.append(simplex)
+                else:
+                    for tri in combinations(sorted(simplex), 3):
+                        triangles.append(frozenset(tri))
+    zmap = dict(c.zloops)
+    smap = dict(c.squares)
+    for sid in c.prisms:
+        for w, p, q in square_corners(c, sid, smap[sid]):
+            if w == v:
+                z = zmap[v]
+                triangles.append(frozenset((p, q, (z, 1))))
+                triangles.append(frozenset((p, q, (z, -1))))
+    return LinkComplex(v, tuple(sorted(ends)), tuple(edges), tuple(dict.fromkeys(triangles)))
+
+
+def triple_loop_median(c) -> bool:
+    """Isometric in the hypercube of its square-opposition classes, and
+    closed under the coordinatewise majority of every triple."""
+    pairs = [(e.src, e.dst) for e in c.edges]
+    if len(graphs.components(c.vertices, pairs)) != 1:
+        return False
+    try:
+        coords = CubicalStructure(c).coords
+    except NotCat0Error:
+        return False
+    adj = graphs.adjacency(c.vertices, pairs)
+    for u in c.vertices:
+        dist, _ = graphs.bfs(adj, u)
+        for v, d in dist.items():
+            if d != (coords[u] ^ coords[v]).bit_count():
+                return False
+    cs = sorted(coords.values())
+    vset = set(cs)
+    if len(vset) != len(cs):
+        return False
+    for cu, cv, cw in combinations(cs, 3):
+        if (cu & cv) | (cu & cw) | (cv & cw) not in vset:
+            return False
+    return True
+
+
+def halfspace_hull(s, vs) -> frozenset:
+    """Intersection of every halfspace of the structure s containing vs."""
+    vs = set(vs)
+    hull = set(s.complex.vertices)
+    for h in s.hyperplanes:
+        if vs <= h.plus:
+            hull &= h.plus
+        elif vs <= h.minus:
+            hull &= h.minus
+    return frozenset(hull)

@@ -22,6 +22,15 @@ class TestContexts:
         with pytest.raises(ValueError):
             aa.DihedralContext(1)
 
+    def test_dihedral_bound(self):
+        assert aa.DihedralContext(aa.MAX_DIHEDRAL).table.size == 2 * aa.MAX_DIHEDRAL
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            aa.DihedralContext(aa.MAX_DIHEDRAL + 1)
+
+    def test_unknown_letter_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unknown letter 'x'"):
+            aa.DihedralContext(3).nf(parse_word("abX"))
+
     def test_spherical_orders(self):
         assert aa.SphericalContext(3).table.size == 24
         assert aa.SphericalContext(4).table.size == 48
@@ -269,3 +278,7 @@ class TestBoundedLemmas:
     def test_negative_bounds_rejected(self, bounds):
         with pytest.raises(ValueError, match=">= 0"):
             aa.bounded_lemma_checks(aa.SphericalContext(3), **bounds)
+
+    def test_L_past_bound_rejected(self):
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            aa.bounded_lemma_checks(aa.SphericalContext(5), L=aa.MAX_L + 1)

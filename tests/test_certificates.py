@@ -1,0 +1,172 @@
+"""The one-pass vertex links, the mask-based median test and the mask hull
+against their direct oracles (tests/oracles.py) on Sageev duals, grids,
+cubes, hypercube subgraphs with some or all squares, random multigraphs
+with random squares, and the complexes of the constructive route."""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import halfspace_hull, rescan_vertex_link, triple_loop_median
+
+from cubartin import constructions as cons
+from cubartin import cube_model as cm
+from cubartin import defining_graph as dg
+from cubartin import toolkit as tk
+from cubartin.cube_model import Edge, make_complex
+
+
+@st.composite
+def duals(draw):
+    n = draw(st.integers(2, 7))
+    masks = draw(st.lists(st.integers(1, 2 ** (n - 1) - 1), max_size=6, unique=True))
+    walls = tuple(frozenset(i + 1 for i in range(n - 1) if m >> i & 1) for m in masks)
+    return tk.sageev_dual(tk.Wallspace(n, walls))
+
+
+grids = st.builds(tk.grid_complex, st.integers(0, 6), st.integers(0, 6))
+cubes = st.builds(tk.hypercube_complex, st.integers(0, 5))
+
+
+def cube_subgraph(k, keep, fill=lambda corners: True):
+    """The subgraph of the k-cube induced on the bitmasks in keep, with the
+    squares whose four corners are kept and that `fill` accepts."""
+    vid = lambda b: f"c{b}"
+    edges = [
+        Edge(f"e{b}.{i}", vid(b), vid(b | 1 << i))
+        for b in sorted(keep) for i in range(k) if not b >> i & 1 and b | 1 << i in keep
+    ]
+    squares = []
+    for b in sorted(keep):
+        for i, j in combinations(range(k), 2):
+            bi, bj = b | 1 << i, b | 1 << j
+            if b >> i & 1 or b >> j & 1 or not {bi, bj, bi | bj} <= keep:
+                continue
+            if fill((b, i, j)):
+                ts = ((f"e{b}.{i}", 1), (f"e{bi}.{j}", 1), (f"e{bj}.{i}", -1), (f"e{b}.{j}", -1))
+                squares.append((f"s{b}.{i}.{j}", ts))
+    return make_complex([vid(b) for b in sorted(keep)], edges, squares)
+
+
+@st.composite
+def cube_subgraphs(draw):
+    k = draw(st.integers(1, 4))
+    keep = draw(st.sets(st.integers(0, 2**k - 1), min_size=1))
+    if draw(st.booleans()):
+        return cube_subgraph(k, keep)
+    return cube_subgraph(k, keep, lambda _: draw(st.booleans()))
+
+
+@st.composite
+def multigraphs(draw):
+    """Loops and parallel edges allowed; squares are closed walks of four
+    edge traversals drawn one step at a time."""
+    n = draw(st.integers(1, 5))
+    vs = [f"x{i}" for i in range(n)]
+    pick = st.integers(0, n - 1)
+    edges = [Edge(f"e{i}", vs[draw(pick)], vs[draw(pick)]) for i in range(draw(st.integers(0, 8)))]
+    ends = {}
+    for e in edges:
+        ends[(e.eid, 1)] = (e.src, e.dst)
+        ends[(e.eid, -1)] = (e.dst, e.src)
+    squares = []
+    for s in range(draw(st.integers(0, 6)) if edges else 0):
+        walk = [draw(st.sampled_from(sorted(ends)))]
+        for step in range(3):
+            last = step == 2
+            options = [
+                t for t in sorted(ends)
+                if ends[t][0] == ends[walk[-1]][1] and (not last or ends[t][1] == ends[walk[0]][0])
+            ]
+            if not options:
+                break
+            walk.append(draw(st.sampled_from(options)))
+        if len(walk) == 4:
+            squares.append((f"s{s}", tuple(walk)))
+    return make_complex(vs, edges, squares)
+
+
+@st.composite
+def built(draw):
+    """Complexes of the constructive route, optionally times a circle."""
+    n = draw(st.integers(1, 4))
+    vs = "abcd"[:n]
+    lines = [f"vertex {v}" for v in vs]
+    for u, v in combinations(vs, 2):
+        label = draw(st.sampled_from((None, 2, 3, 4, 5, 6)))
+        if label is not None:
+            lines.append(f"edge {u} {v} {label}")
+    plan = dg.verdict(dg.parse_graph("\n".join(lines) + "\n")).plan
+    assume(plan is not None)
+    return cons.build_from_plan(plan)
+
+
+def q3_minus_vertex(fill=True):
+    return cube_subgraph(3, set(range(7)), lambda _: fill)
+
+
+def hexagon():
+    return make_complex(
+        [f"h{i}" for i in range(6)], [Edge(f"e{i}", f"h{i}", f"h{(i + 1) % 6}") for i in range(6)], []
+    )
+
+
+class TestLinks:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(multigraphs(), built(), duals(), grids, cube_subgraphs()))
+    def test_match_rescan(self, c):
+        links = cm.vertex_links(c)
+        assert list(links) == list(c.vertices)
+        for v in c.vertices:
+            assert links[v] == rescan_vertex_link(c, v)
+            assert cm.vertex_link(c, v) is links[v]
+
+    def test_salvetti_and_prism_links(self):
+        k4 = "".join(f"vertex {v}\n" for v in "abcd")
+        k4 += "".join(f"edge {u} {v} 2\n" for u, v in combinations("abcd", 2))
+        salvetti = cons.build_salvetti(dg.parse_graph(k4))
+        for c in (salvetti, cons.build_product_with_circle(cons.build_K_odd(3))):
+            for v in c.vertices:
+                assert cm.vertex_link(c, v) == rescan_vertex_link(c, v)
+            assert cm.check_npc(c) == []
+
+    def test_memoised_for_the_complex(self):
+        c = tk.grid_complex(2, 2)
+        assert cm.vertex_links(c) is cm.vertex_links(c)
+        assert cm.vertex_links(tk.grid_complex(2, 2)) is not cm.vertex_links(c)
+
+
+class TestMedian:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(duals(), grids, cubes, cube_subgraphs(), multigraphs()))
+    def test_matches_triple_loop(self, c):
+        assert tk.is_median(c) == triple_loop_median(c)
+
+    @pytest.mark.parametrize(
+        "make, median",
+        [
+            (lambda: cube_subgraph(3, set(range(8))), True),
+            (q3_minus_vertex, False),
+            (lambda: q3_minus_vertex(fill=False), False),
+            (hexagon, False),
+            (lambda: tk.grid_complex(1, 2), True),  # a hexagon cut by one chord into two squares
+            (lambda: cube_subgraph(2, {0, 1, 2, 3}, lambda _: False), False),
+            (lambda: tk.tree_complex([("o", "x"), ("o", "y"), ("y", "z")]), True),
+        ],
+    )
+    def test_named_cases(self, make, median):
+        c = make()
+        assert tk.is_median(c) is median
+        assert triple_loop_median(c) is median
+
+
+class TestHull:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(duals(), grids, cubes), st.data())
+    def test_matches_halfspace_intersection(self, c, data):
+        s = tk.CubicalStructure(c)
+        vs = data.draw(st.sets(st.sampled_from(sorted(c.vertices)), min_size=1))
+        hull = s.convex_hull(vs)
+        assert hull == halfspace_hull(s, vs)
+        assert s.is_convex(hull)

@@ -331,6 +331,40 @@ class TestAlgebra:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("nf", "--dihedral", "3", "--word", "x"),
+            ("equal", "--type", "4", "--word", "ab", "--word2", "aD"),
+        ],
+    )
+    def test_unknown_letter_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "algebra", *argv)
+        assert code == 2
+        assert out == ""
+        assert "unknown letter" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("nf", "--dihedral", "1001", "--word", "ab"),
+            ("phi", "--dihedral", "100001"),
+            ("center", "--dihedral", "5000"),
+        ],
+    )
+    def test_dihedral_past_bound_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "algebra", *argv)
+        assert code == 2
+        assert out == ""
+        assert "exceeds the bound 1000" in err
+
+    def test_L_past_bound_exits_2(self, capsys):
+        code, out, err = run(capsys, "algebra", "bounded-checks", "--type", "5", "--L", "10")
+        assert code == 2
+        assert out == ""
+        assert "exceeds the bound 9" in err
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, tmp_path):
@@ -387,6 +421,15 @@ class TestDeterminism:
         assert (module, attr) == ("cubartin.cli", "main")
         main = getattr(importlib.import_module(module), attr)
         assert main(["analyze", "--graph", "/does/not/exist"]) == 2
+
+    def test_python_m_cubartin_missing_file_exits_2(self):
+        r = subprocess.run(
+            [sys.executable, "-m", "cubartin", "analyze", "--graph", "/does/not/exist"],
+            capture_output=True,
+        )
+        assert r.returncode == 2
+        assert r.stdout == b""
+        assert b"cannot read" in r.stderr
 
     def test_console_script_installed(self):
         r = subprocess.run(
