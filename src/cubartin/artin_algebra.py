@@ -64,8 +64,10 @@ class ArtinContext:
 # table memory grows as n^2: at n = 1000 a process peaks at 26 MB, and its
 # slowest command, `algebra phi`, takes about 5 s
 MAX_DIHEDRAL = 1000
-# bounded_lemma_checks takes 23-26 s per type at L = 9, x3.3 per step of L
-MAX_L = 9
+# bounded_lemma_checks takes 23-26 s per type at L = 9, x3.3 per step of L;
+# clause (iii) adds (2M)(2K+1) products per word, and L = 9 with K = M = 4
+# takes 48-50 s per type, inside the same 60 s budget
+MAX_L, MAX_K, MAX_M = 9, 4, 4
 
 
 def DihedralContext(n: int) -> ArtinContext:
@@ -314,8 +316,9 @@ def bounded_lemma_checks(ctx: ArtinContext, L: int = 6, K: int = 2, M: int = 2) 
     """
     if min(L, K, M) < 0:
         raise ValueError("bounds L, K and M must be >= 0")
-    if L > MAX_L:
-        raise ValueError(f"L = {L} exceeds the bound {MAX_L}")
+    for name, value, bound in (("L", L, MAX_L), ("K", K, MAX_K), ("M", M, MAX_M)):
+        if value > bound:
+            raise ValueError(f"{name} = {value} exceeds the bound {bound}")
     g = ctx.garside
     z_nfs = {}
     for k in range(-K, K + 1):

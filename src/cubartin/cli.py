@@ -142,6 +142,9 @@ def cmd_build(args) -> int:
         }
         emit(payload, args.format)
         return EXIT_NEGATIVE
+    top = max(g.edges.values(), default=0)
+    if top > constructions.MAX_LABEL:
+        raise InputError(f"label {top} exceeds the bound {constructions.MAX_LABEL}")
     c = constructions.build_from_plan(v.plan)
     violations = cube_model.check_npc(c)
     if violations:

@@ -28,6 +28,10 @@ from .cube_model import (
 )
 from .words import artin_relation, concat, invert
 
+# `cubartin build` refuses a larger label.  The slowest shape, K_m x S^1, has
+# 2 m^2 relator letters: at m = 2001 a build takes 4-5 s and peaks at 192 MB
+MAX_LABEL = 2001
+
 
 def artin_presentation(g: dg.DefiningGraph) -> Presentation:
     relators = []

@@ -125,12 +125,6 @@ class CoxeterTable:
             g = self.words[j][-1]
             self.tau.append(self.rmult[self.tau[self.rmult[j][g]]][sigma[g]])
 
-    def from_word(self, word) -> int:
-        i = 0
-        for g in word:
-            i = self.rmult[i][g]
-        return i
-
     def mult(self, i: int, j: int) -> int:
         for g in self.words[j]:
             i = self.rmult[i][g]

@@ -15,7 +15,10 @@ Link vertices are edge-ends: an edge u -> v contributes its outgoing end
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import combinations, product
 
 from . import graphs
@@ -341,53 +344,85 @@ def extract_presentation(
         candidates = set(eliminate) if eliminate is not None else set(c.internal_edges)
         candidates &= set(gens)
         gens, relators = _tietze_eliminate(gens, relators, candidates)
-    relators = [r for r in (cyclic_reduce(r) for r in relators) if r]
+    # reduced, so only an empty relator is empty after cyclic reduction
+    relators = [r for r in relators if r]
     return Presentation(tuple(gens), tuple(relators))
 
 
 def _tietze_eliminate(gens, relators, candidates):
-    gens = list(gens)
-    relators = [list(r) for r in relators]
-    progress = True
-    while progress and candidates:
-        progress = False
-        for x in sorted(candidates):
-            pick = None
-            for i, r in enumerate(relators):
-                occ = [j for j, (g, _) in enumerate(r) if g == x]
-                if len(occ) == 1:
-                    pick = (i, occ[0])
-                    break
-            if pick is None:
-                continue
-            i, j = pick
-            r = relators.pop(i)
-            # rotate so the x occurrence leads, orient it positively
-            r = r[j:] + r[:j]
-            if r[0][1] == -1:
-                r = list(invert(tuple(r)))
-                r = r[-1:] + r[:-1]  # bring x back to the front
-            assert r[0] == (x, 1)
-            value = invert(tuple(r[1:]))  # x = (rest)^-1
-            relators = [
-                list(free_reduce(_substitute_letters(tuple(s), x, value)))
-                for s in relators
-            ]
-            gens.remove(x)
-            candidates.discard(x)
-            progress = True
-            break
-    return gens, [tuple(r) for r in relators]
+    """Tietze elimination on freely reduced relators, which stay reduced.
+
+    Each step takes the least candidate, in sorted order, that occurs once in
+    some relator, solves for it in the first such relator, drops that relator
+    and substitutes the value into the relators that hold the candidate.  An
+    index from each candidate to its relators keeps a step to them, and each
+    relator is kept with its inverse, so that rotating, inverting and
+    splicing are tuple slices."""
+    words = [(r, invert(r)) for r in relators]
+    held = [Counter(g for g, _ in r if g in candidates) for r in relators]
+    holders = {x: set() for x in candidates}
+    for i, counts in enumerate(held):
+        for y in counts:
+            holders[y].add(i)
+    ready = sorted(candidates)  # a heap; an entry is checked when popped
+    while ready:
+        x = heappop(ready)
+        i = min((i for i in holders.get(x, ()) if held[i][x] == 1), default=None)
+        if i is None:
+            continue
+        r, rinv = words[i]
+        words[i] = None
+        for y in held[i]:
+            holders[y].discard(i)
+        # r = u x^e v gives x^-e = v u; a rotation of a reduced word can
+        # cancel at the joint of v and u
+        (j,), n = _positions(r, x, 1), len(r)
+        rest, cut = _join((r[j + 1:], rinv[:n - j - 1]), (r[:j], rinv[n - j:]))
+        value = rest if r[j][1] == -1 else rest[::-1]
+        # Counter subtraction keeps positive counts only
+        value_counts = held[i] - Counter([x] + [g for g, _ in cut] * 2)
+        for k in holders.pop(x):
+            s, sinv = words[k]
+            m, old = len(s), held[k]
+            positions = _positions(s, x, old[x])
+            acc, cut = (s[:positions[0]], sinv[m - positions[0]:]), ()
+            for p, q in zip(positions, positions[1:] + [m]):
+                for piece in (value if s[p][1] == 1 else value[::-1], (s[p + 1:q], sinv[m - q:m - p - 1])):
+                    acc, more = _join(acc, piece)
+                    cut += more
+            counts = old + Counter({y: c * len(positions) for y, c in value_counts.items()})
+            counts -= Counter([x] * len(positions) + [g for g, _ in cut] * 2)
+            for y in old.keys() - counts.keys() - {x}:
+                holders[y].discard(k)
+            for y, c in counts.items():
+                holders[y].add(k)
+                if c == 1:
+                    heappush(ready, y)
+            words[k], held[k] = acc, counts
+    eliminated = set(candidates) - holders.keys()
+    return [g for g in gens if g not in eliminated], [w for w, _ in filter(None, words)]
 
 
-def _substitute_letters(w: Word, x: str, value: Word) -> Word:
-    out = []
-    for g, e in w:
-        if g == x:
-            out.extend(value if e == 1 else invert(value))
-        else:
-            out.append((g, e))
-    return tuple(out)
+def _positions(w: Word, x: str, count: int) -> list[int]:
+    """Where the generator x occurs `count` times in w, by tuple searches."""
+    found = []
+    for letter in ((x, 1), (x, -1)):
+        p = -1
+        with suppress(ValueError):
+            while len(found) < count:
+                p = w.index(letter, p + 1)
+                found.append(p)
+    return sorted(found)
+
+
+def _join(u, v):
+    """The reduced product of two reduced words, each paired with its inverse,
+    and the letters of u that cancel: letters cancel only at the joint."""
+    (a, ainv), (b, binv) = u, v
+    k, la, lb = 0, len(a), len(b)
+    while k < la and k < lb and a[la - 1 - k] == binv[lb - 1 - k]:
+        k += 1
+    return (a[:la - k] + b[k:], binv[:lb - k] + ainv[k:]), a[la - k:]
 
 
 # -- local convexity ------------------------------------------------------

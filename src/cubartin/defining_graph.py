@@ -62,12 +62,6 @@ class DefiningGraph:
             for comp in graphs.components(self.vertices, (tuple(p) for p in self.edges))
         ]
 
-    def renamed(self, mapping: dict[str, str]) -> "DefiningGraph":
-        return DefiningGraph(
-            tuple(mapping[v] for v in self.vertices),
-            {frozenset(mapping[x] for x in p): m for p, m in self.edges.items()},
-        )
-
 
 def parse_graph(text: str) -> DefiningGraph:
     """Parse the line-oriented graph format (`vertex <name>`, `edge <u> <v> <m>`)."""

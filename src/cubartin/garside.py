@@ -27,9 +27,6 @@ class GarsideElement:
     def canonical_length(self) -> int:
         return len(self.factors)
 
-    def is_positive(self) -> bool:
-        return self.inf >= 0
-
 
 class GarsideContext:
     def __init__(self, table: CoxeterTable):
@@ -102,10 +99,6 @@ class GarsideContext:
 
     def equal(self, w1: Word, w2: Word) -> bool:
         return self.word_nf(w1) == self.word_nf(w2)
-
-    def nf_key(self, w: Word):
-        nf = self.word_nf(w)
-        return (nf.inf, nf.factors)
 
     def positive_word(self, nf: GarsideElement) -> Word:
         """Some positive word for a positive element (inf >= 0)."""

@@ -60,11 +60,17 @@ def cliques(nodes, pairs):
     """Every clique as a list of nodes in node order; cliques come by size,
     and those of one size in lexicographic node order."""
     adj = adjacency(nodes, pairs)
-    index = {v: i for i, v in enumerate(adj)}
-    later = {u: {v for v in adj[u] if index[v] > index[u]} for u in adj}
-    queue = deque(([u], sorted(later[u], key=index.__getitem__)) for u in adj)
+    order = list(adj)
+    index = {v: i for i, v in enumerate(order)}
+    # candidate sets are bitmasks over node indices, so extending a clique by
+    # u costs one AND with the later neighbours of u, however large the hub
+    later = [sum(1 << index[v] for v in adj[u] if index[v] > i) for i, u in enumerate(order)]
+    queue = deque(([u], later[i]) for i, u in enumerate(order))
     while queue:
         base, candidates = queue.popleft()
         yield base
-        for i, u in enumerate(candidates):
-            queue.append((base + [u], [w for w in candidates[i + 1:] if w in later[u]]))
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            i = low.bit_length() - 1
+            queue.append((base + [order[i]], candidates & later[i]))

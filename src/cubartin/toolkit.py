@@ -327,23 +327,25 @@ def sageev_dual(w: Wallspace, max_walls: int = 16) -> CubeComplex:
     k = len(w.walls)
     if k > max_walls:
         raise ValueError(f"{k} walls exceed the bound {max_walls}")
-    sides = []  # per wall: (side excluding point 0, complement)
-    all_points = frozenset(range(w.n_points))
-    for side in w.walls:
-        sides.append((all_points - side, side))
+    # a point's pattern has bit i when it lies on the recorded side of wall i,
+    # the side without point 0; the principal orientations are the patterns
+    pattern: dict[int, int] = {}
+    for i, side in enumerate(w.walls):
+        for p in side:
+            pattern[p] = pattern.get(p, 0) | 1 << i
+    patterns = sorted({0, *pattern.values()})  # point 0 has pattern 0
+    # per wall, its two sides as masks over the patterns: two sides meet when
+    # a point, so a pattern, lies on both
+    full = (1 << len(patterns)) - 1
+    recorded = [sum(1 << n for n, q in enumerate(patterns) if q >> i & 1) for i in range(k)]
+    sides = [(full ^ side, side) for side in recorded]
 
     def consistent(bits: int) -> bool:
         chosen = [sides[i][(bits >> i) & 1] for i in range(k)]
-        return all(
-            a & b for a, b in combinations(chosen, 2)
-        )
+        return all(a & b for a, b in combinations(chosen, 2))
 
-    def principal(p: int) -> int:
-        return sum(1 << i for i in range(k) if p in sides[i][1])
-
-    seen = set()
-    queue = sorted({principal(p) for p in range(w.n_points)})
-    seen.update(queue)
+    seen = set(patterns)
+    queue = patterns
     while queue:
         nxt = []
         for bits in queue:
@@ -358,13 +360,16 @@ def sageev_dual(w: Wallspace, max_walls: int = 16) -> CubeComplex:
     def vid(bits):
         return f"o{order[bits]}"
 
+    def eid(bits, i):
+        return f"e{order[bits]}.w{i}"
+
     vertices = [vid(b) for b in sorted(seen)]
     edges = []
     for bits in sorted(seen):
         for i in range(k):
             flip = bits ^ (1 << i)
             if flip in seen and not bits >> i & 1:
-                edges.append(Edge(f"e{order[bits]}.w{i}", vid(bits), vid(flip)))
+                edges.append(Edge(eid(bits, i), vid(bits), vid(flip)))
     squares = []
     for bits in sorted(seen):
         for i, j in combinations(range(k), 2):
@@ -372,17 +377,8 @@ def sageev_dual(w: Wallspace, max_walls: int = 16) -> CubeComplex:
                 continue
             bi, bj, bij = bits ^ (1 << i), bits ^ (1 << j), bits ^ (1 << i) ^ (1 << j)
             if bi in seen and bj in seen and bij in seen:
-                squares.append(
-                    (
-                        f"s{order[bits]}.w{i}.w{j}",
-                        (
-                            (f"e{order[bits]}.w{i}", 1),
-                            (f"e{order[bi]}.w{j}", 1),
-                            (f"e{order[bj]}.w{i}", -1),
-                            (f"e{order[bits]}.w{j}", -1),
-                        ),
-                    )
-                )
+                ts = ((eid(bits, i), 1), (eid(bi, j), 1), (eid(bj, i), -1), (eid(bits, j), -1))
+                squares.append((f"s{order[bits]}.w{i}.w{j}", ts))
     return make_complex(vertices, edges, squares)
 
 

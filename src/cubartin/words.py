@@ -57,11 +57,11 @@ def power(w: Word, n: int) -> Word:
 
 def free_reduce(w: Word) -> Word:
     out: list[Letter] = []
-    for g, e in w:
-        if out and out[-1][0] == g and out[-1][1] == -e:
+    for letter in w:
+        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
             out.pop()
         else:
-            out.append((g, e))
+            out.append(letter)
     return tuple(out)
 
 
@@ -97,7 +97,3 @@ def alternating_word(x: str, y: str, n: int) -> Word:
 def artin_relation(u: str, v: str, m: int) -> tuple[Word, Word]:
     """The two sides of the Artin relation uvu... = vuv... (m letters each)."""
     return alternating_word(u, v, m), alternating_word(v, u, m)
-
-
-def rotations(w: Word) -> list[Word]:
-    return [w[i:] + w[:i] for i in range(max(len(w), 1))]

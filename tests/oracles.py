@@ -3,8 +3,10 @@
 `rescan_vertex_link` builds one link by scanning every edge, square, cube
 and prism of the complex (O(V S) over all vertices); `triple_loop_median`
 checks every pair distance by breadth-first search and closes the vertex
-coordinates under the majority of every triple (O(V^3)).  The library's
-one-pass `vertex_links` and mask-based `is_median` must agree with them.
+coordinates under the majority of every triple (O(V^3));
+`rescanning_tietze_eliminate` rescans and rewrites every relator at each
+elimination step.  The library's one-pass `vertex_links`, mask-based
+`is_median` and indexed `_tietze_eliminate` must agree with them.
 """
 
 from itertools import combinations, product
@@ -12,6 +14,7 @@ from itertools import combinations, product
 from cubartin import graphs
 from cubartin.cube_model import LinkComplex, square_corners
 from cubartin.toolkit import CubicalStructure, NotCat0Error
+from cubartin.words import free_reduce, invert
 
 
 def rescan_vertex_link(c, v) -> LinkComplex:
@@ -86,3 +89,51 @@ def halfspace_hull(s, vs) -> frozenset:
         elif vs <= h.minus:
             hull &= h.minus
     return frozenset(hull)
+
+
+def rescanning_tietze_eliminate(gens, relators, candidates):
+    """Tietze elimination that re-sorts the candidates, rescans every relator
+    for the pick and rewrites every relator at each step."""
+    gens = list(gens)
+    candidates = set(candidates)
+    relators = [list(r) for r in relators]
+    progress = True
+    while progress and candidates:
+        progress = False
+        for x in sorted(candidates):
+            pick = None
+            for i, r in enumerate(relators):
+                occ = [j for j, (g, _) in enumerate(r) if g == x]
+                if len(occ) == 1:
+                    pick = (i, occ[0])
+                    break
+            if pick is None:
+                continue
+            i, j = pick
+            r = relators.pop(i)
+            # rotate so the x occurrence leads, orient it positively
+            r = r[j:] + r[:j]
+            if r[0][1] == -1:
+                r = list(invert(tuple(r)))
+                r = r[-1:] + r[:-1]  # bring x back to the front
+            assert r[0] == (x, 1)
+            value = invert(tuple(r[1:]))  # x = (rest)^-1
+            relators = [
+                list(free_reduce(_substitute_letters(tuple(s), x, value)))
+                for s in relators
+            ]
+            gens.remove(x)
+            candidates.discard(x)
+            progress = True
+            break
+    return gens, [tuple(r) for r in relators]
+
+
+def _substitute_letters(w, x, value):
+    out = []
+    for g, e in w:
+        if g == x:
+            out.extend(value if e == 1 else invert(value))
+        else:
+            out.append((g, e))
+    return tuple(out)

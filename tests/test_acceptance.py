@@ -177,7 +177,7 @@ def partitions_agree(ctx, gens, max_len):
         by_nf = {}
         for letters in words:
             w = tuple((g, 1) for g in letters)
-            by_nf.setdefault(ctx.garside.nf_key(w), set()).add(letters)
+            by_nf.setdefault(ctx.garside.word_nf(w), set()).add(letters)
         by_bfs = {}
         for letters in words:
             rep = min(aa.positive_class(ctx, letters))

@@ -282,3 +282,8 @@ class TestBoundedLemmas:
     def test_L_past_bound_rejected(self):
         with pytest.raises(ValueError, match="exceeds the bound"):
             aa.bounded_lemma_checks(aa.SphericalContext(5), L=aa.MAX_L + 1)
+
+    @pytest.mark.parametrize("bounds", [{"K": aa.MAX_K + 1}, {"M": aa.MAX_M + 1}, {"K": 10**6, "M": 10**6}])
+    def test_K_and_M_past_bound_rejected(self, bounds):
+        with pytest.raises(ValueError, match="exceeds the bound 4"):
+            aa.bounded_lemma_checks(aa.SphericalContext(5), L=1, **bounds)

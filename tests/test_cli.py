@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cubartin import cli
+from cubartin import cli, constructions
 from cubartin import defining_graph as dg
 
 PATH_46 = "vertex a\nvertex b\nvertex c\nedge a b 4\nedge b c 6\n"
@@ -103,6 +103,24 @@ class TestBuildVerify:
         )
         assert code == 1
         assert "refused: true" in out
+
+    def test_build_refuses_a_label_past_the_bound(self, capsys, graph_file, tmp_path):
+        bound = constructions.MAX_LABEL
+        for label in (bound + 1, bound + 2, 10**9):
+            graph = graph_file(f"vertex a\nvertex b\nedge a b {label}\n")
+            out_path = tmp_path / "x"
+            code, out, err = run(capsys, "build", "--graph", graph, "-o", str(out_path))
+            assert code == 2
+            assert out == ""
+            assert f"label {label} exceeds the bound {bound}" in err
+            assert not out_path.exists()
+            # analyze has no bound
+            code, out, _ = run(capsys, "analyze", "--graph", graph)
+            assert code == 0
+            assert f"verdict: {dg.COCOMPACTLY_CUBULATED}" in out
+        graph = graph_file(f"vertex a\nvertex b\nedge a b {bound}\n")
+        code, out, _ = run(capsys, "build", "--graph", graph, "-o", str(tmp_path / "y"))
+        assert code == 0
 
     def test_build_refuses_dotted_vertex_name(self, capsys, graph_file, tmp_path):
         text = (
@@ -364,6 +382,13 @@ class TestAlgebra:
         assert code == 2
         assert out == ""
         assert "exceeds the bound 9" in err
+
+    @pytest.mark.parametrize("flag", ["--K", "--M"])
+    def test_K_and_M_past_bound_exit_2(self, capsys, flag):
+        code, out, err = run(capsys, "algebra", "bounded-checks", "--type", "5", flag, "5")
+        assert code == 2
+        assert out == ""
+        assert f"{flag[2]} = 5 exceeds the bound 4" in err
 
 
 class TestDeterminism:

@@ -2,14 +2,48 @@ import pytest
 
 from cubartin.coxeter import CoxeterTable
 from cubartin.garside import GarsideContext, GarsideElement
-from cubartin.snf import (
-    abelian_invariants,
-    determinant,
-    in_row_span,
-    mat_mul,
-    smith_normal_form,
-)
+from cubartin.snf import abelian_invariants, in_row_span, smith_normal_form
 from cubartin.words import concat, invert, parse_word
+
+
+def from_word(t, word) -> int:
+    """The table element of a word of generator names."""
+    i = 0
+    for g in word:
+        i = t.rmult[i][g]
+    return i
+
+
+def mat_mul(a, b):
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+def determinant(m) -> int:
+    """Exact determinant by fraction-free Gaussian elimination (Bareiss)."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def triangle_labels(m):
@@ -72,11 +106,11 @@ class TestCoxeterPresentation:
     def test_derived_tables_match_definitions(self, gens, labels, size):
         t = CoxeterTable(gens, labels)
         for i in range(t.size):
-            assert t.from_word(t.words[i]) == i
+            assert from_word(t, t.words[i]) == i
             assert t.mult(i, t.inv[i]) == 0
             assert t.tau[i] == t.mult(t.mult(t.w0, i), t.w0)
             for g in t.gens:
-                assert t.lmult[i][g] == t.from_word((g,) + t.words[i])
+                assert t.lmult[i][g] == from_word(t, (g,) + t.words[i])
                 shorter = t.length[t.rmult[i][g]] < t.length[i]
                 assert (g in t.right_descents[i]) == shorter
                 shorter = t.length[t.lmult[i][g]] < t.length[i]
@@ -93,25 +127,25 @@ class TestDihedral:
 
     def test_braid_relation(self):
         t = dihedral_table(3)
-        assert t.from_word("aba") == t.from_word("bab")
-        assert t.from_word("aba") == t.w0
+        assert from_word(t, "aba") == from_word(t, "bab")
+        assert from_word(t, "aba") == t.w0
 
     def test_involutions(self):
         t = dihedral_table(5)
-        assert t.from_word("aa") == 0
-        assert t.from_word("bb") == 0
+        assert from_word(t, "aa") == 0
+        assert from_word(t, "bb") == 0
 
     def test_tau_swaps_generators_odd(self):
         t = dihedral_table(5)
-        assert t.tau[t.from_word("a")] == t.from_word("b")
+        assert t.tau[from_word(t, "a")] == from_word(t, "b")
 
     def test_tau_fixes_generators_even(self):
         t = dihedral_table(4)
-        assert t.tau[t.from_word("a")] == t.from_word("a")
+        assert t.tau[from_word(t, "a")] == from_word(t, "a")
 
     def test_descents(self):
         t = dihedral_table(3)
-        ab = t.from_word("ab")
+        ab = from_word(t, "ab")
         assert t.left_descents[ab] == frozenset({"a"})
         assert t.right_descents[ab] == frozenset({"b"})
 
@@ -132,15 +166,15 @@ class TestTriangle:
     def test_relations_hold(self):
         for m in (3, 4, 5):
             t = triangle_table(m)
-            assert t.from_word("abab" + "ab"[: 2 * (3 - 2) - 2]) != 0  # sanity
-            assert t.from_word("ababab") == 0  # (ab)^3
-            assert t.from_word("bcbc") == 0  # (bc)^2
-            assert t.from_word("ac" * m) == 0
+            assert from_word(t, "abab" + "ab"[: 2 * (3 - 2) - 2]) != 0  # sanity
+            assert from_word(t, "ababab") == 0  # (ab)^3
+            assert from_word(t, "bcbc") == 0  # (bc)^2
+            assert from_word(t, "ac" * m) == 0
 
     def test_words_are_reduced(self):
         t = triangle_table(4)
         for i in range(t.size):
-            assert t.from_word(t.words[i]) == i
+            assert from_word(t, t.words[i]) == i
             assert len(t.words[i]) == t.length[i]
 
     def test_inverse(self):
@@ -235,7 +269,7 @@ class TestGarsideDihedral:
         for _ in range(30):
             w = tuple((rng.choice("ab"), 1) for _ in range(rng.randint(0, 6)))
             nf = ctx.word_nf(w)
-            assert nf.is_positive()
+            assert nf.inf >= 0
             assert ctx.word_nf(ctx.positive_word(nf)) == nf
         with pytest.raises(ValueError, match="positive"):
             ctx.positive_word(GarsideElement(-1, ()))

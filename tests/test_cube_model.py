@@ -6,7 +6,11 @@ from cubartin import cube_model as cm
 from cubartin import constructions as cons
 from cubartin.cube_model import Edge, make_complex
 from cubartin.snf import abelian_invariants
-from cubartin.words import parse_word, rotations, invert
+from cubartin.words import parse_word, invert
+
+
+def rotations(w):
+    return [w[i:] + w[:i] for i in range(max(len(w), 1))]
 
 
 def torus():

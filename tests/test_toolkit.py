@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -309,6 +311,18 @@ class TestWallspace:
             tk.parse_wallspace("wall 01\n")
         with pytest.raises(tk.WallspaceParseError):
             tk.parse_wallspace("points 2\nwall 012\n")
+
+    def test_dual_cost_does_not_follow_the_point_count(self):
+        # every point on no wall shares the principal orientation 0
+        w = tk.parse_wallspace("points 100000000\n")
+        tracemalloc.start()
+        start = time.perf_counter()
+        c = tk.sageev_dual(w)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert (len(c.vertices), len(c.edges)) == (1, 0)
+        assert elapsed < 1 and peak < 1 << 20
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_needs_a_point(self, n):
