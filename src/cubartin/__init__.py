@@ -56,8 +56,8 @@ from .artin_algebra import (
     commutator_membership,
     even_rewrite,
     positive_equal,
-    smith_normal_form,
     subgroup_presentation,
 )
+from .snf import smith_normal_form
 
 __version__ = "0.1.0"

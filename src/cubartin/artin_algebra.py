@@ -22,11 +22,7 @@ from itertools import product
 
 from .coxeter import CoxeterTable, braid_closure
 from .garside import GarsideContext, GarsideElement
-from .snf import (  # noqa: F401  (re-exported: abelianization backbone)
-    abelian_invariants,
-    in_row_span,
-    smith_normal_form,
-)
+from .snf import in_row_span
 from .cube_model import Presentation
 from .words import (
     Word,
@@ -101,13 +97,6 @@ _EXPAND = {
 _PAIR_TABLE: dict[tuple, Word] = {}
 
 
-def _pw(text: str) -> Word:
-    out = []
-    for ch in text:
-        out.append((ch.lower(), 1 if ch.islower() else -1))
-    return tuple(out)
-
-
 for _pair, _val in {
     ("a+", "a+"): "rT",
     ("a+", "b+"): "r",
@@ -127,7 +116,7 @@ for _pair, _val in {
     ("b-", "b+"): "",
 }.items():
     _k = tuple((p[0], 1 if p[1] == "+" else -1) for p in _pair)
-    _PAIR_TABLE[_k] = _pw(_val)
+    _PAIR_TABLE[_k] = parse_word(_val)
 
 
 def even_rewrite(w: Word) -> Word:

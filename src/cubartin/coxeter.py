@@ -53,6 +53,12 @@ def braid_closure(letters: tuple, moves) -> set:
     return seen
 
 
+def is_spherical_triangle(p: int, q: int, r: int) -> bool:
+    """Whether labels p, q, r >= 2 on a triangle give a finite Coxeter
+    group, that is, 1/p + 1/q + 1/r > 1, decided in integers."""
+    return q * r + p * r + p * q > p * q * r
+
+
 def _check_labels(gens: tuple, labels: dict) -> None:
     m = {}
     for (s, t), k in labels.items():
@@ -66,8 +72,7 @@ def _check_labels(gens: tuple, labels: dict) -> None:
         raise ValueError("Coxeter tables are built for rank at most 3")
     if len(gens) == 3:
         p, q, r = (m[pair] for pair in pairs)
-        # finite exactly when 1/p + 1/q + 1/r > 1
-        if q * r + p * r + p * q <= p * q * r:
+        if not is_spherical_triangle(p, q, r):
             raise ValueError(f"labels {(p, q, r)} do not give a finite group")
 
 

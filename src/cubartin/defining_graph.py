@@ -9,10 +9,10 @@ a constructive plan, a concrete obstruction, or "outside classification".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 from . import graphs
+from .coxeter import is_spherical_triangle
 
 COCOMPACTLY_CUBULATED = "cocompactly-cubulated"
 NOT_COCOMPACTLY_CUBULATED = "not-virtually-cocompactly-cubulated"
@@ -148,7 +148,7 @@ def is_two_dimensional(g: DefiningGraph) -> bool:
         labels = [g.label(a, b), g.label(b, c), g.label(a, c)]
         if any(m is None for m in labels):
             continue
-        if sum(Fraction(1, m) for m in labels) > 1:
+        if is_spherical_triangle(*labels):
             return False
     return True
 

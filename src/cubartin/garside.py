@@ -99,14 +99,3 @@ class GarsideContext:
 
     def equal(self, w1: Word, w2: Word) -> bool:
         return self.word_nf(w1) == self.word_nf(w2)
-
-    def positive_word(self, nf: GarsideElement) -> Word:
-        """Some positive word for a positive element (inf >= 0)."""
-        if nf.inf < 0:
-            raise ValueError("element is not positive")
-        t = self.table
-        letters: list[str] = []
-        letters += list(t.words[t.w0]) * nf.inf
-        for f in nf.factors:
-            letters += list(t.words[f])
-        return tuple((g, 1) for g in letters)

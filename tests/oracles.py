@@ -1,19 +1,21 @@
 """Direct, slow versions of the cube certificates, kept as test oracles.
 
 `rescan_vertex_link` builds one link by scanning every edge, square, cube
-and prism of the complex (O(V S) over all vertices); `triple_loop_median`
-checks every pair distance by breadth-first search and closes the vertex
-coordinates under the majority of every triple (O(V^3));
-`rescanning_tietze_eliminate` rescans and rewrites every relator at each
-elimination step.  The library's one-pass `vertex_links`, mask-based
-`is_median` and indexed `_tietze_eliminate` must agree with them.
+and prism of the complex (O(V S) over all vertices); `union_find_split`
+cuts the 1-skeleton along each hyperplane by its own union-find (O(H E));
+`triple_loop_median` takes the split's coordinates, checks every pair
+distance by breadth-first search and closes the coordinates under the
+majority of every triple (O(V^3)); `rescanning_tietze_eliminate` rescans
+and rewrites every relator at each elimination step.  The library's
+one-pass `vertex_links`, one-search `CubicalStructure` and indexed
+`_tietze_eliminate` must agree with them.
 """
 
 from itertools import combinations, product
 
 from cubartin import graphs
 from cubartin.cube_model import LinkComplex, square_corners
-from cubartin.toolkit import CubicalStructure, NotCat0Error
+from cubartin.toolkit import _edge_classes
 from cubartin.words import free_reduce, invert
 
 
@@ -53,16 +55,39 @@ def rescan_vertex_link(c, v) -> LinkComplex:
     return LinkComplex(v, tuple(sorted(ends)), tuple(edges), tuple(dict.fromkeys(triangles)))
 
 
+def union_find_split(c):
+    """(coords, [(edges, minus, plus)]) when removing each square-opposition
+    class leaves exactly two parts, with one end of each of its edges on
+    each; the least vertex is on every minus side, and bit i of a coordinate
+    is set on the plus side of class i.  None otherwise."""
+    hyperplanes = []
+    for cls in _edge_classes(c):
+        rest = [(e.src, e.dst) for e in c.edges if e.eid not in cls]
+        comps = graphs.components(c.vertices, rest)
+        if len(comps) != 2:
+            return None
+        a, b = comps
+        if any((e.src in a) == (e.dst in a) for e in map(c.edge, cls)):
+            return None
+        minus, plus = (a, b) if min(c.vertices) in a else (b, a)
+        hyperplanes.append((cls, frozenset(minus), frozenset(plus)))
+    coords = {
+        v: sum(1 << i for i, (_, _, plus) in enumerate(hyperplanes) if v in plus)
+        for v in c.vertices
+    }
+    return coords, hyperplanes
+
+
 def triple_loop_median(c) -> bool:
     """Isometric in the hypercube of its square-opposition classes, and
     closed under the coordinatewise majority of every triple."""
     pairs = [(e.src, e.dst) for e in c.edges]
     if len(graphs.components(c.vertices, pairs)) != 1:
         return False
-    try:
-        coords = CubicalStructure(c).coords
-    except NotCat0Error:
+    split = union_find_split(c)
+    if split is None:
         return False
+    coords, _ = split
     adj = graphs.adjacency(c.vertices, pairs)
     for u in c.vertices:
         dist, _ = graphs.bfs(adj, u)

@@ -1,14 +1,15 @@
-"""The one-pass vertex links, the mask-based median test and the mask hull
-against their direct oracles (tests/oracles.py) on Sageev duals, grids,
-cubes, hypercube subgraphs with some or all squares, random multigraphs
-with random squares, and the complexes of the constructive route."""
+"""The one-pass vertex links, the one-search median certificate and the
+mask hull against their direct oracles (tests/oracles.py) on Sageev duals,
+grids, cubes, hypercube subgraphs with some or all squares, random
+multigraphs with random squares, and the complexes of the constructive
+route."""
 
 from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import halfspace_hull, rescan_vertex_link, triple_loop_median
+from oracles import halfspace_hull, rescan_vertex_link, triple_loop_median, union_find_split
 
 from cubartin import constructions as cons
 from cubartin import cube_model as cm
@@ -142,6 +143,21 @@ class TestMedian:
     @given(st.one_of(duals(), grids, cubes, cube_subgraphs(), multigraphs()))
     def test_matches_triple_loop(self, c):
         assert tk.is_median(c) == triple_loop_median(c)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(duals(), grids, cubes, cube_subgraphs(), multigraphs(), built()))
+    def test_structure_matches_union_find_split(self, c):
+        median = triple_loop_median(c)
+        try:
+            s = tk.CubicalStructure(c)
+        except tk.NotCat0Error:
+            assert not median
+            return
+        assert median
+        coords, hyperplanes = union_find_split(c)
+        assert s.coords == coords
+        assert [h.hid for h in s.hyperplanes] == list(range(len(hyperplanes)))
+        assert [(h.edges, h.minus, h.plus) for h in s.hyperplanes] == hyperplanes
 
     @pytest.mark.parametrize(
         "make, median",

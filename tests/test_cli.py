@@ -246,6 +246,42 @@ class TestToolkit:
         assert code == 2
         assert "CAT(0)" in err
 
+    def test_partial_cube_that_is_not_median_exits_2(self, capsys, tmp_path):
+        from cubartin.cube_model import complex_text, make_complex
+        from cubartin.toolkit import hypercube_complex
+
+        # Q3 minus a vertex, with its three squares: each hyperplane still
+        # cuts it in two, but the three squares around c000 span no cube
+        q3 = hypercube_complex(3)
+        edges = [e for e in q3.edges if "c111" not in (e.src, e.dst)]
+        kept = {e.eid for e in edges}
+        squares = [(sid, ts) for sid, ts in q3.squares if {t[0] for t in ts} <= kept]
+        assert len(squares) == 3
+        bad = tmp_path / "q3-minus-vertex.complex"
+        bad.write_text(complex_text(make_complex(sorted(set(q3.vertices) - {"c111"}), edges, squares)))
+        code, out, err = run(capsys, "toolkit", "hull", "--complex", str(bad), "--vertices", "c011,c101")
+        assert code == 2
+        assert out == ""
+        assert "CAT(0)" in err
+
+    def test_empty_complex_exits_2(self, capsys, tmp_path):
+        empty = tmp_path / "empty.complex"
+        empty.write_text("cubecomplex 1\n")
+        code, _, err = run(capsys, "toolkit", "hyperplanes", "--complex", str(empty))
+        assert code == 2
+        assert "CAT(0)" in err
+
+    def test_complex_past_the_vertex_bound_exits_2(self, capsys, tmp_path):
+        from cubartin.cube_model import complex_text
+        from cubartin.toolkit import path_complex
+
+        path = tmp_path / "path.complex"
+        path.write_text(complex_text(path_complex(2000)))
+        code, out, err = run(capsys, "toolkit", "hyperplanes", "--complex", str(path))
+        assert code == 2
+        assert out == ""
+        assert "2001 vertices exceed the bound 2000" in err
+
 
 class TestAlgebra:
     def test_nf(self, capsys):

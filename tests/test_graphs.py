@@ -65,9 +65,10 @@ def test_cliques_of_a_dense_graph_in_order():
 
 
 def test_cli_import_loads_no_networkx():
+    # nor fractions, which would pull in decimal and numbers
     probe = (
         "import sys, cubartin.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('networkx', 'fractions')))\n"
     )
     r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr

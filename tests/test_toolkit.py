@@ -416,4 +416,4 @@ class TestIsMedian:
 
     def test_size_bound(self):
         with pytest.raises(ValueError, match="bound"):
-            tk.is_median(tk.path_complex(3), max_vertices=2)
+            tk.is_median(tk.path_complex(tk.MAX_VERTICES))
