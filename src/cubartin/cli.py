@@ -240,9 +240,10 @@ def cmd_toolkit(args) -> int:
             "count": len(s.hyperplanes),
         }
         for h in s.hyperplanes:
+            plus = sum(x >> h.hid & 1 for x in s.coords.values())
             payload[f"h{h.hid}"] = {
                 "edges": sorted(h.edges),
-                "sides": f"{len(h.minus)}|{len(h.plus)}",
+                "sides": f"{len(s.coords) - plus}|{plus}",
             }
     elif args.tool == "hull":
         hull = s.convex_hull(_vertex_list(_require(args.vertices, "hull needs --vertices")))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations, product
 

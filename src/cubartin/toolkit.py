@@ -8,8 +8,8 @@ operations reduce to integer arithmetic.
 
 A CubicalStructure certifies its complex as it labels the vertices, and
 is_median is that certificate as a predicate.  Both refuse complexes above
-MAX_VERTICES = 2000 vertices, where a path takes 2-3 s and a 44 x 44
-grid 0.3-0.4 s (Python 3.11, 2 vCPUs).
+MAX_VERTICES = 2000 vertices, where a path takes about 1.5 s and a 44 x 44
+grid 0.4-0.45 s (Python 3.11, 2 vCPUs), and so does sageev_dual.
 """
 
 from __future__ import annotations
@@ -27,10 +27,8 @@ class NotCat0Error(ValueError):
 
 @dataclass(frozen=True)
 class Hyperplane:
-    hid: int
+    hid: int  # its bit in every vertex coordinate
     edges: frozenset  # dual edge ids
-    minus: frozenset  # vertex side containing the least vertex
-    plus: frozenset
 
 
 @dataclass(frozen=True)
@@ -96,6 +94,12 @@ class CubicalStructure:
     each class cuts the graph into two convex halfspaces); and each side of
     every hyperplane's carrier is convex.  Cost: O(V + E) for the labels,
     then O(V^2) and O(H V) integer operations.
+
+    A vertex's side of h is bit h of its coordinate, and nothing else
+    stores it.  Each hyperplane keeps the hull mask of its carrier: as
+    hyperplanes are connected, its free bits are h and exactly the
+    hyperplanes crossing h, and its value bits give the side of every
+    other hyperplane the carrier lies on.
     """
 
     def __init__(self, c: CubeComplex):
@@ -131,8 +135,7 @@ class CubicalStructure:
         for v, f in flips.items():
             if [x & f for x in cs].count(self.coords[v] & f) != 1:
                 raise NotCat0Error(f"graph distance from {v} exceeds the Hamming distance")
-        everything = frozenset(c.vertices)
-        hyperplanes = []
+        self._carriers = []  # (fixed, value) of each carrier's hull
         for hid, cls in enumerate(classes):
             ends = {self.coords[v] for e in map(c.edge, cls) for v in (e.src, e.dst)}
             for side in (1, 0):
@@ -140,11 +143,8 @@ class CubicalStructure:
                 free = ~_hull_mask(carrier)[0]  # x is in the hull iff x | free == y | free
                 if [x | free for x in cs].count(carrier[0] | free) != len(carrier):
                     raise NotCat0Error(f"carrier of hyperplane {hid} is not convex")
-            # copied from a set, so sized once: grown from a generator it
-            # can take twice the memory, and H of them are kept
-            plus = frozenset({v for v, x in self.coords.items() if x >> hid & 1})
-            hyperplanes.append(Hyperplane(hid, cls, everything - plus, plus))
-        self.hyperplanes: tuple[Hyperplane, ...] = tuple(hyperplanes)
+            self._carriers.append(_hull_mask(ends))
+        self.hyperplanes = tuple(Hyperplane(hid, cls) for hid, cls in enumerate(classes))
         self._edge_to_hid = {eid: h.hid for h in self.hyperplanes for eid in h.edges}
 
     # -- metric -------------------------------------------------------------
@@ -163,20 +163,14 @@ class CubicalStructure:
         fixed, _ = _hull_mask(self.coords[v] for v in s)
         return frozenset(h.hid for h in self.hyperplanes if not fixed >> h.hid & 1)
 
+    def _disjoint(self) -> list[int]:
+        """Per hyperplane, the mask of the hyperplanes it does not cross
+        (itself included)."""
+        return [fixed | 1 << hid for hid, (fixed, _) in enumerate(self._carriers)]
+
     def crossing(self, h1: Hyperplane, h2: Hyperplane) -> bool:
-        return all(a & b for a in (h1.plus, h1.minus) for b in (h2.plus, h2.minus))
-
-    def _side_of(self, h: Hyperplane, s) -> int:
-        """1 or -1 when the nonempty s lies in the plus or minus side of h,
-        0 when h crosses it."""
-        fixed, value = _hull_mask(self.coords[v] for v in s)
-        if not fixed >> h.hid & 1:
-            return 0
-        return 1 if value >> h.hid & 1 else -1
-
-    def carrier_vertices(self, h: Hyperplane) -> frozenset:
-        edges = [self.complex.edge(eid) for eid in h.edges]
-        return frozenset(v for e in edges for v in (e.src, e.dst))
+        """Whether h2 cuts h1's carrier, so all four quadrants meet."""
+        return not (self._carriers[h1.hid][0] | 1 << h1.hid) >> h2.hid & 1
 
     # -- hulls and gates ----------------------------------------------------
 
@@ -218,10 +212,11 @@ class CubicalStructure:
     def check_gate_edge_duality(self, gp: GatePair):
         """Every hyperplane dual to an edge of V1 must meet V2 (and dually)."""
         for side, other in ((gp.v1, gp.v2), (gp.v2, gp.v1)):
+            fixed, _ = _hull_mask(self.coords[v] for v in other)
             for e in self.complex.edges:
                 if e.src in side and e.dst in side:
                     h = self.hyperplane_of(e.eid)
-                    if not (other & h.plus and other & h.minus):
+                    if fixed >> h.hid & 1:
                         return False, (e.eid, h.hid)
         return True, None
 
@@ -253,14 +248,11 @@ class CubicalStructure:
 
     def product_decompose(self) -> ProductPartition:
         """Finest hyperplane partition into pairwise-crossing classes."""
-        disjoint = [
-            (h1.hid, h2.hid)
-            for h1, h2 in combinations(self.hyperplanes, 2)
-            if not self.crossing(h1, h2)
-        ]
-        comps = graphs.components((h.hid for h in self.hyperplanes), disjoint)
+        disjoint = self._disjoint()
+        pairs = [(a, b) for a, b in combinations(range(len(disjoint)), 2) if disjoint[a] >> b & 1]
+        comps = graphs.components(range(len(disjoint)), pairs)
         classes = sorted((frozenset(comp) for comp in comps), key=sorted)
-        base = min(self.complex.vertices) if self.complex.vertices else None
+        base = min(self.complex.vertices)
         factors = []
         for cls in classes:
             outer = sum(1 << h.hid for h in self.hyperplanes if h.hid not in cls)
@@ -271,16 +263,17 @@ class CubicalStructure:
         return ProductPartition(tuple(classes), tuple(factors))
 
     def has_facing_triple(self):
-        """Three pairwise-disjoint hyperplanes, none separating the other two."""
-        carriers = {h.hid: self.carrier_vertices(h) for h in self.hyperplanes}
-        for triple in combinations(self.hyperplanes, 3):
-            if any(self.crossing(a, b) for a, b in combinations(triple, 2)):
+        """Three pairwise-disjoint hyperplanes, none separating the other two:
+        each lies on one side of the other two, so the carriers of those two
+        have the same value bit there."""
+        disjoint = self._disjoint()
+        value = [v for _, v in self._carriers]
+        for a, b, c in combinations(range(len(disjoint)), 3):
+            if not disjoint[a] >> b & disjoint[a] >> c & disjoint[b] >> c & 1:
                 continue
-            if all(
-                len({self._side_of(h, carriers[o.hid]) for o in triple if o is not h}) == 1
-                for h in triple
-            ):
-                return True, tuple(h.hid for h in triple)
+            separated = (value[b] ^ value[c]) >> a | (value[a] ^ value[c]) >> b | (value[a] ^ value[b]) >> c
+            if not separated & 1:
+                return True, (a, b, c)
         return False, None
 
 
@@ -352,7 +345,9 @@ def wallspace_text(w: Wallspace) -> str:
     return "\n".join(lines) + "\n"
 
 
-MAX_WALLS = 16  # so at most 2^16 orientations
+# bounds the cost of each orientation, k flips of k(k-1)/2 side pairs each;
+# MAX_VERTICES bounds the number of orientations
+MAX_WALLS = 16
 
 
 def sageev_dual(w: Wallspace) -> CubeComplex:
@@ -361,7 +356,8 @@ def sageev_dual(w: Wallspace) -> CubeComplex:
     Vertices are consistent orientations (a chosen side per wall, pairwise
     intersecting), reached by breadth-first single-wall flips from the
     principal orientations of the points; edges are single-wall flips and
-    squares come from commuting flip pairs.
+    squares come from commuting flip pairs.  ValueError above MAX_WALLS
+    walls, and as soon as the search passes MAX_VERTICES orientations.
     """
     k = len(w.walls)
     if k > MAX_WALLS:
@@ -388,6 +384,8 @@ def sageev_dual(w: Wallspace) -> CubeComplex:
     while queue:
         nxt = []
         for bits in queue:
+            if len(seen) > MAX_VERTICES:
+                raise ValueError(f"the dual exceeds the bound of {MAX_VERTICES} vertices")
             for i in range(k):
                 flip = bits ^ (1 << i)
                 if flip not in seen and consistent(flip):

@@ -5,10 +5,11 @@ and prism of the complex (O(V S) over all vertices); `union_find_split`
 cuts the 1-skeleton along each hyperplane by its own union-find (O(H E));
 `triple_loop_median` takes the split's coordinates, checks every pair
 distance by breadth-first search and closes the coordinates under the
-majority of every triple (O(V^3)); `rescanning_tietze_eliminate` rescans
-and rewrites every relator at each elimination step.  The library's
-one-pass `vertex_links`, one-search `CubicalStructure` and indexed
-`_tietze_eliminate` must agree with them.
+majority of every triple (O(V^3)); the hyperplane queries below read the
+split's frozenset sides; `rescanning_tietze_eliminate` rescans and
+rewrites every relator at each elimination step.  The library's one-pass
+`vertex_links`, one-search `CubicalStructure` with its coordinate and
+carrier masks, and indexed `_tietze_eliminate` must agree with them.
 """
 
 from itertools import combinations, product
@@ -104,16 +105,90 @@ def triple_loop_median(c) -> bool:
     return True
 
 
-def halfspace_hull(s, vs) -> frozenset:
-    """Intersection of every halfspace of the structure s containing vs."""
+def halfspaces(c):
+    """The (minus, plus) vertex sides of each hyperplane of the median
+    complex c, from its union-find split."""
+    return [(minus, plus) for _, minus, plus in union_find_split(c)[1]]
+
+
+def halfspace_hull(c, vs) -> frozenset:
+    """Intersection of every halfspace of c containing vs."""
     vs = set(vs)
-    hull = set(s.complex.vertices)
-    for h in s.hyperplanes:
-        if vs <= h.plus:
-            hull &= h.plus
-        elif vs <= h.minus:
-            hull &= h.minus
+    hull = set(c.vertices)
+    for minus, plus in halfspaces(c):
+        if vs <= plus:
+            hull &= plus
+        elif vs <= minus:
+            hull &= minus
     return frozenset(hull)
+
+
+def brute_crossing(sides, h1, h2) -> bool:
+    """All four quadrants of hyperplanes h1 and h2 (ids into sides) meet."""
+    return all(a & b for a in sides[h1] for b in sides[h2])
+
+
+def side_of(sides, h, vs) -> int:
+    """1 or -1 when the nonempty vs lies in the plus or minus side of h, 0
+    when h crosses it."""
+    minus, plus = sides[h]
+    return 1 if vs <= plus else -1 if vs <= minus else 0
+
+
+def carrier_vertices(c, edges) -> frozenset:
+    return frozenset(v for e in map(c.edge, edges) for v in (e.src, e.dst))
+
+
+def brute_facing_triple(c):
+    """has_facing_triple by its definition: the first three pairwise-disjoint
+    hyperplanes none of which separates the carriers of the other two."""
+    split = union_find_split(c)[1]
+    sides = [(minus, plus) for _, minus, plus in split]
+    carriers = [carrier_vertices(c, cls) for cls, _, _ in split]
+    for t3 in combinations(range(len(sides)), 3):
+        if any(brute_crossing(sides, a, b) for a, b in combinations(t3, 2)):
+            continue
+        a, b, d = t3
+        if all(
+            side_of(sides, h, carriers[o1]) == side_of(sides, h, carriers[o2])
+            for h, o1, o2 in ((a, b, d), (b, a, d), (d, a, b))
+        ):
+            return True, t3
+    return False, None
+
+
+def brute_product(c):
+    """(classes, factors) of product_decompose: components of the
+    non-crossing relation, and per class the vertices on the least vertex's
+    side of every hyperplane outside it."""
+    sides = halfspaces(c)
+    ids = range(len(sides))
+    apart = [(a, b) for a, b in combinations(ids, 2) if not brute_crossing(sides, a, b)]
+    classes = sorted((frozenset(x) for x in graphs.components(ids, apart)), key=sorted)
+    base = min(c.vertices)
+    factors = [
+        frozenset(
+            v for v in c.vertices
+            if all((v in plus) == (base in plus) for h, (_, plus) in enumerate(sides) if h not in cls)
+        )
+        for cls in classes
+    ]
+    return tuple(classes), tuple(factors)
+
+
+def brute_gate_edge_duality(c, v1, v2):
+    """check_gate_edge_duality on the vertex sets v1 and v2: the first edge
+    inside one whose hyperplane leaves the other on one side."""
+    split = union_find_split(c)[1]
+    for side, other in ((v1, v2), (v2, v1)):
+        for e in c.edges:
+            if e.src in side and e.dst in side:
+                hid, (minus, plus) = next(
+                    (i, (m, p)) for i, (cls, m, p) in enumerate(split) if e.eid in cls
+                )
+                if not (other & plus and other & minus):
+                    return False, (e.eid, hid)
+    return True, None
 
 
 def rescanning_tietze_eliminate(gens, relators, candidates):

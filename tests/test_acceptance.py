@@ -11,6 +11,7 @@ from itertools import combinations, product
 import networkx as nx
 import pytest
 from conftest import link_graph
+from oracles import brute_crossing, brute_facing_triple, halfspaces
 
 from cubartin import artin_algebra as aa
 from cubartin import constructions as cons
@@ -246,10 +247,11 @@ def test_criterion_7_toolkit(rng):
     # decompositions against crossing brute force
     for s in structures:
         pp = s.product_decompose()
+        sides = halfspaces(s.complex)
         for c1, c2 in combinations(pp.classes, 2):
             for h1 in c1:
                 for h2 in c2:
-                    assert s.crossing(s.hyperplanes[h1], s.hyperplanes[h2])
+                    assert brute_crossing(sides, h1, h2)
         n = 1
         for f in pp.factors:
             n *= len(f)
@@ -266,23 +268,8 @@ def test_criterion_7_toolkit(rng):
         assert tk.is_median(tk.sageev_dual(random_wallspace(rng)))
     # facing triples match the exhaustive search
     for _ in range(20):
-        s = tk.CubicalStructure(tk.sageev_dual(random_wallspace(rng, 6, 6)))
-        found, _ = s.has_facing_triple()
-        brute = False
-        for t3 in combinations(s.hyperplanes, 3):
-            if any(s.crossing(u, v) for u, v in combinations(t3, 2)):
-                continue
-            if all(
-                s._side_of(h, s.carrier_vertices(o1))
-                == s._side_of(h, s.carrier_vertices(o2))
-                for h, o1, o2 in (
-                    (t3[0], t3[1], t3[2]),
-                    (t3[1], t3[0], t3[2]),
-                    (t3[2], t3[0], t3[1]),
-                )
-            ):
-                brute = True
-        assert found == brute
+        c = tk.sageev_dual(random_wallspace(rng, 6, 6))
+        assert tk.CubicalStructure(c).has_facing_triple() == brute_facing_triple(c)
 
 
 def test_criterion_8_determinism(tmp_path):

@@ -1,15 +1,24 @@
-"""The one-pass vertex links, the one-search median certificate and the
-mask hull against their direct oracles (tests/oracles.py) on Sageev duals,
-grids, cubes, hypercube subgraphs with some or all squares, random
-multigraphs with random squares, and the complexes of the constructive
-route."""
+"""The one-pass vertex links, the one-search median certificate, the mask
+hull and the mask hyperplane queries against their direct oracles
+(tests/oracles.py) on Sageev duals, grids, cubes, hypercube subgraphs with
+some or all squares, random multigraphs with random squares, and the
+complexes of the constructive route."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import halfspace_hull, rescan_vertex_link, triple_loop_median, union_find_split
+from oracles import (
+    brute_crossing,
+    brute_facing_triple,
+    brute_gate_edge_duality,
+    brute_product,
+    halfspace_hull,
+    rescan_vertex_link,
+    triple_loop_median,
+    union_find_split,
+)
 
 from cubartin import constructions as cons
 from cubartin import cube_model as cm
@@ -145,8 +154,8 @@ class TestMedian:
         assert tk.is_median(c) == triple_loop_median(c)
 
     @settings(max_examples=400, deadline=None)
-    @given(st.one_of(duals(), grids, cubes, cube_subgraphs(), multigraphs(), built()))
-    def test_structure_matches_union_find_split(self, c):
+    @given(st.one_of(duals(), grids, cubes, cube_subgraphs(), multigraphs(), built()), st.data())
+    def test_structure_matches_union_find_split(self, c, data):
         median = triple_loop_median(c)
         try:
             s = tk.CubicalStructure(c)
@@ -157,7 +166,24 @@ class TestMedian:
         coords, hyperplanes = union_find_split(c)
         assert s.coords == coords
         assert [h.hid for h in s.hyperplanes] == list(range(len(hyperplanes)))
-        assert [(h.edges, h.minus, h.plus) for h in s.hyperplanes] == hyperplanes
+        sides = []
+        for h in s.hyperplanes:
+            plus = frozenset(v for v, x in s.coords.items() if x >> h.hid & 1)
+            sides.append((frozenset(c.vertices) - plus, plus))
+        assert [(h.edges, *side) for h, side in zip(s.hyperplanes, sides)] == hyperplanes
+        # the mask queries against the split's frozenset sides
+        split_sides = [(minus, plus) for _, minus, plus in hyperplanes]
+        for h1, h2 in product(s.hyperplanes, repeat=2):
+            assert s.crossing(h1, h2) == brute_crossing(split_sides, h1.hid, h2.hid)
+        pp = s.product_decompose()
+        assert (pp.classes, pp.factors) == brute_product(c)
+        assert s.has_facing_triple() == brute_facing_triple(c)
+        vertex_sets = st.sets(st.sampled_from(sorted(c.vertices)), min_size=1)
+        v1, v2 = data.draw(vertex_sets), data.draw(vertex_sets)
+        gp = tk.GatePair(frozenset(v1), frozenset(v2), frozenset(), {})
+        assert s.check_gate_edge_duality(gp) == brute_gate_edge_duality(c, v1, v2)
+        y1, y2 = s.convex_hull(v1), s.convex_hull(v2)
+        assert s.check_gate_edge_duality(s.gates(y1, y2)) == (True, None)
 
     @pytest.mark.parametrize(
         "make, median",
@@ -184,5 +210,5 @@ class TestHull:
         s = tk.CubicalStructure(c)
         vs = data.draw(st.sets(st.sampled_from(sorted(c.vertices)), min_size=1))
         hull = s.convex_hull(vs)
-        assert hull == halfspace_hull(s, vs)
+        assert hull == halfspace_hull(c, vs)
         assert s.is_convex(hull)

@@ -206,6 +206,27 @@ class TestToolkit:
         assert code == 0
         assert "facing_triple: false" in out
 
+    @pytest.fixture()
+    def tripod_file(self, tmp_path):
+        from cubartin.cube_model import complex_text
+        from cubartin.toolkit import tree_complex
+
+        p = tmp_path / "tripod.complex"
+        p.write_text(complex_text(tree_complex([("o", "x"), ("o", "y"), ("o", "z")])))
+        return str(p)
+
+    def test_facing_tripod(self, capsys, tripod_file):
+        code, out, _ = run(capsys, "toolkit", "facing", "--complex", tripod_file)
+        assert code == 0
+        assert out == "command: toolkit facing\nfacing_triple: true\nwitness: 0 1 2\n"
+
+    def test_hyperplanes_tripod(self, capsys, tripod_file):
+        code, out, _ = run(capsys, "toolkit", "hyperplanes", "--complex", tripod_file)
+        assert code == 0
+        assert out == "command: toolkit hyperplanes\ncount: 3\n" + "".join(
+            f"h{i}.edges: e.o.{leaf}\nh{i}.sides: 3|1\n" for i, leaf in enumerate("xyz")
+        )
+
     def test_dual(self, capsys, tmp_path):
         walls = tmp_path / "walls.txt"
         walls.write_text(WALLS_SQUARE)
@@ -237,6 +258,21 @@ class TestToolkit:
         )
         assert code == 2
         assert "error:" in err
+        assert not out_path.exists()
+
+    def test_dual_past_the_vertex_bound_exits_2(self, capsys, tmp_path):
+        from cubartin.toolkit import Wallspace, wallspace_text
+
+        # 12 pairwise-crossing walls: 2^12 consistent orientations
+        walls = tmp_path / "walls.txt"
+        walls.write_text(wallspace_text(Wallspace(14, tuple(frozenset({i + 1, 13}) for i in range(12)))))
+        out_path = tmp_path / "dual.complex"
+        code, out, err = run(
+            capsys, "toolkit", "dual", "--wallspace", str(walls), "-o", str(out_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: the dual exceeds the bound of 2000 vertices" in err
         assert not out_path.exists()
 
     def test_non_cat0_complex_exits_2(self, capsys, tmp_path):

@@ -3,6 +3,7 @@ import tracemalloc
 from itertools import combinations, product
 
 import pytest
+from oracles import brute_crossing, brute_facing_triple, halfspaces
 
 from cubartin import toolkit as tk
 from cubartin.cube_model import Edge, make_complex
@@ -13,12 +14,6 @@ def structure(c):
 
 
 # -- brute-force oracles ------------------------------------------------------
-
-def brute_crossing(s, h1, h2):
-    return all(
-        a & b for a in (h1.plus, h1.minus) for b in (h2.plus, h2.minus)
-    )
-
 
 def brute_consistent_orientations(w):
     all_points = frozenset(range(w.n_points))
@@ -71,13 +66,24 @@ class TestHyperplanes:
     def test_halfspaces_partition(self):
         s = structure(tk.grid_complex(2, 2))
         for h in s.hyperplanes:
-            assert h.plus | h.minus == set(s.complex.vertices)
-            assert not h.plus & h.minus
+            plus = {v for v, x in s.coords.items() if x >> h.hid & 1}
+            assert 0 < len(plus) < len(s.coords)
+            for e in map(s.complex.edge, h.edges):
+                assert (e.src in plus) != (e.dst in plus)
 
     def test_loop_rejected(self):
         c = make_complex(["v"], [Edge("a", "v", "v")], [])
         with pytest.raises(tk.NotCat0Error):
             structure(c)
+
+    def test_memory_stays_linear(self):
+        # no per-hyperplane vertex sets: 999 hyperplanes over 1000 vertices
+        c = tk.path_complex(999)
+        tracemalloc.start()
+        structure(c)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 8 << 20
 
     def test_cycle_rejected(self):
         c = make_complex(
@@ -232,12 +238,13 @@ class TestProductDecompose:
             assert n == len(c.vertices)
 
     def test_classes_pairwise_cross(self):
-        s = structure(tk.grid_complex(2, 3))
-        pp = s.product_decompose()
+        c = tk.grid_complex(2, 3)
+        sides = halfspaces(c)
+        pp = structure(c).product_decompose()
         for c1, c2 in combinations(pp.classes, 2):
             for hid1 in c1:
                 for hid2 in c2:
-                    assert brute_crossing(s, s.hyperplanes[hid1], s.hyperplanes[hid2])
+                    assert brute_crossing(sides, hid1, hid2)
 
 
 class TestFacingTriple:
@@ -256,26 +263,16 @@ class TestFacingTriple:
         for _ in range(20):
             walls = _random_wallspace(rng, max_points=6, max_walls=6)
             c = tk.sageev_dual(walls)
-            s = structure(c)
-            found, _ = s.has_facing_triple()
-            brute = False
-            for t3 in combinations(s.hyperplanes, 3):
-                if any(s.crossing(u, v) for u, v in combinations(t3, 2)):
-                    continue
-                if all(
-                    s._side_of(h, s.carrier_vertices(o1))
-                    == s._side_of(h, s.carrier_vertices(o2))
-                    for h, o1, o2 in (
-                        (t3[0], t3[1], t3[2]),
-                        (t3[1], t3[0], t3[2]),
-                        (t3[2], t3[0], t3[1]),
-                    )
-                ):
-                    brute = True
-            assert found == brute
+            assert structure(c).has_facing_triple() == brute_facing_triple(c)
 
 
 # -- wallspaces ------------------------------------------------------------------
+
+def pairwise_crossing_walls(k):
+    """k walls over k + 2 points: point 0 on no wall's recorded side, point
+    i + 1 on wall i's only and point k + 1 on all of them."""
+    return tk.Wallspace(k + 2, tuple(frozenset({i + 1, k + 1}) for i in range(k)))
+
 
 def _random_wallspace(rng, max_points=8, max_walls=10):
     n = rng.randint(2, max_points)
@@ -354,6 +351,12 @@ class TestSageevDual:
         w = tk.parse_wallspace("points 4\nwall 1000\nwall 1100\nwall 1110\n")
         c = tk.sageev_dual(w)
         assert (len(c.vertices), len(c.edges), len(c.squares)) == (4, 3, 0)
+
+    def test_vertex_bound(self):
+        # every pair of the 12 walls crosses, so all 2^12 orientations are
+        # consistent; the search stops past MAX_VERTICES of them
+        with pytest.raises(ValueError, match="bound"):
+            tk.sageev_dual(pairwise_crossing_walls(12))
 
     def test_wall_bound(self):
         walls = tuple(frozenset({i + 1}) for i in range(17))
