@@ -16,9 +16,12 @@ z-loop per vertex, a square per edge, and a prism per square.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from . import defining_graph as dg
 from . import graphs
 from .cube_model import (
+    MAX_CUBES,
     CubeComplex,
     Edge,
     check_npc,
@@ -117,7 +120,9 @@ def build_salvetti(g: dg.DefiningGraph, vertex: str = "v0") -> CubeComplex:
     for u, v, _ in g.edge_list():
         squares.append((f"sq.{u}.{v}", ((u, 1), (v, 1), (u, -1), (v, -1))))
     pairs = [tuple(sorted(p)) for p in g.edges]
-    cubes = [frozenset(c) for c in graphs.cliques(g.vertices, pairs) if len(c) >= 3]
+    # one past the bound is enough for make_complex to refuse the complex
+    cliques = (c for c in graphs.cliques(g.vertices, pairs) if len(c) >= 3)
+    cubes = [frozenset(c) for c in islice(cliques, MAX_CUBES + 1)]
     return make_complex([vertex], edges, squares, cubes, base_vertex=vertex)
 
 
@@ -197,10 +202,6 @@ def _rename_vertex(c: CubeComplex, old: str, new: str) -> CubeComplex:
 
 
 def build_for_graph(g: dg.DefiningGraph) -> CubeComplex:
-    ok, witness = dg.satisfies_condition_iii(g)
-    if not ok:
-        u, v, m = witness
-        raise ValueError(f"condition (iii) fails at edge {u}-{v} (label {m})")
     return build_from_plan(dg.amalgam_plan(g))
 
 
@@ -272,6 +273,6 @@ def canonical_spanning_tree(c: CubeComplex) -> frozenset:
 
 
 def extracted_presentation(c: CubeComplex) -> Presentation:
-    """Composite-mode presentation over the canonical spanning tree."""
-    return extract_presentation(c, canonical_spanning_tree(c), composite=True)
+    """The composite presentation over the canonical spanning tree."""
+    return extract_presentation(c, canonical_spanning_tree(c))
 

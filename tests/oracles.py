@@ -7,15 +7,20 @@ cuts the 1-skeleton along each hyperplane by its own union-find (O(H E));
 distance by breadth-first search and closes the coordinates under the
 majority of every triple (O(V^3)); the hyperplane queries below read the
 split's frozenset sides; `rescanning_tietze_eliminate` rescans and
-rewrites every relator at each elimination step.  The library's one-pass
+rewrites every relator at each elimination step; `brute_two_dimensional`
+walks every vertex triple of a defining graph, and `two_twos_plan` spells
+out the three-generator plan piece by piece.  The library's one-pass
 `vertex_links`, one-search `CubicalStructure` with its coordinate and
-carrier masks, and indexed `_tietze_eliminate` must agree with them.
+carrier masks, indexed `_tietze_eliminate`, neighbour-set triangle scan and
+subgraph plans must agree with them.
 """
 
 from itertools import combinations, product
 
 from cubartin import graphs
+from cubartin.coxeter import is_spherical_triangle
 from cubartin.cube_model import LinkComplex, square_corners
+from cubartin.defining_graph import Circle, ConstructionPlan, EvenEdge, OddEdge
 from cubartin.toolkit import _edge_classes
 from cubartin.words import free_reduce, invert
 
@@ -237,3 +242,36 @@ def _substitute_letters(w, x, value):
         else:
             out.append((g, e))
     return tuple(out)
+
+
+def brute_two_dimensional(g) -> bool:
+    """is_two_dimensional over every vertex triple of the defining graph g."""
+    if not g.edges:
+        return False
+    for a, b, c in combinations(g.vertices, 3):
+        labels = [g.label(a, b), g.label(b, c), g.label(a, c)]
+        if any(m is None for m in labels):
+            continue
+        if is_spherical_triangle(*labels):
+            return False
+    return True
+
+
+def two_twos_plan(g):
+    """The three-generator K x S^1 plan, with the dihedral (or free) piece
+    written out for each label of the remaining edge."""
+    if len(g.vertices) != 3:
+        return None
+    for center in g.vertices:
+        others = [v for v in g.vertices if v != center]
+        if all(g.label(center, w) == 2 for w in others):
+            u, v = sorted(others)
+            m = g.label(u, v)
+            if m is None:
+                pieces = (Circle(u), Circle(v))
+            elif m % 2 == 1:
+                pieces = (OddEdge(u, v, m),)
+            else:
+                pieces = (EvenEdge(u, v, m, u),)
+            return ConstructionPlan(pieces, times_circle=center)
+    return None

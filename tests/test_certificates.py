@@ -122,6 +122,16 @@ def hexagon():
     )
 
 
+def assert_same_link(link, oracle):
+    """Ends and corners in the oracle's order; the triangles, which the
+    library takes from the 3-cubes alone, as the same set without repeats."""
+    assert link.base == oracle.base
+    assert link.link_vertices == oracle.link_vertices
+    assert link.link_edges == oracle.link_edges
+    assert len(set(link.link_triangles)) == len(link.link_triangles)
+    assert set(link.link_triangles) == set(oracle.link_triangles)
+
+
 class TestLinks:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(multigraphs(), built(), duals(), grids, cube_subgraphs()))
@@ -129,7 +139,7 @@ class TestLinks:
         links = cm.vertex_links(c)
         assert list(links) == list(c.vertices)
         for v in c.vertices:
-            assert links[v] == rescan_vertex_link(c, v)
+            assert_same_link(links[v], rescan_vertex_link(c, v))
             assert cm.vertex_link(c, v) is links[v]
 
     def test_salvetti_and_prism_links(self):
@@ -138,7 +148,7 @@ class TestLinks:
         salvetti = cons.build_salvetti(dg.parse_graph(k4))
         for c in (salvetti, cons.build_product_with_circle(cons.build_K_odd(3))):
             for v in c.vertices:
-                assert cm.vertex_link(c, v) == rescan_vertex_link(c, v)
+                assert_same_link(cm.vertex_link(c, v), rescan_vertex_link(c, v))
             assert cm.check_npc(c) == []
 
     def test_memoised_for_the_complex(self):

@@ -2,11 +2,12 @@ import importlib
 import json
 import subprocess
 import sys
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
 
-from cubartin import cli, constructions
+from cubartin import cli, constructions, cube_model, graphs
 from cubartin import defining_graph as dg
 
 PATH_46 = "vertex a\nvertex b\nvertex c\nedge a b 4\nedge b c 6\n"
@@ -121,6 +122,39 @@ class TestBuildVerify:
         graph = graph_file(f"vertex a\nvertex b\nedge a b {bound}\n")
         code, out, _ = run(capsys, "build", "--graph", graph, "-o", str(tmp_path / "y"))
         assert code == 0
+
+    def test_salvetti_cube_bound(self, capsys, graph_file, tmp_path):
+        """K_n with every label 2 has a Salvetti cube per clique of size >= 3:
+        K_12 has 4017 and builds, K_13 has 8100 and is refused, as is a
+        complex file with one cube record past the bound."""
+        bound = cube_model.MAX_CUBES
+        names = [f"g{i}" for i in range(13)]
+
+        def complete(n):
+            vs = names[:n]
+            return "".join(f"vertex {v}\n" for v in vs) + "".join(f"edge {u} {w} 2\n" for u, w in combinations(vs, 2))
+
+        code, out, _ = run(capsys, "build", "--graph", graph_file(complete(12)), "-o", str(tmp_path / "k12"))
+        assert code == 0 and "npc: true" in out
+        out_path = tmp_path / "k13"
+        code, out, err = run(capsys, "build", "--graph", graph_file(complete(13)), "-o", str(out_path))
+        assert (code, out) == (2, "")
+        assert f"exceed the bound of {bound}" in err
+        assert not out_path.exists()
+        # the first 4097 cliques of K_13 are closed under subsets
+        cliques = (c for c in graphs.cliques(names, combinations(names, 2)) if len(c) >= 3)
+        lines = ["cubecomplex 1", "vertex v", *(f"edge {x} v v {x}" for x in names)]
+        lines += [f"square sq.{x}.{y} {x}+ {y}+ {x}- {y}-" for x, y in combinations(names, 2)]
+        lines += ["cube " + " ".join(c) for c in islice(cliques, bound + 1)]
+        lines += ["base v"]
+        past = tmp_path / "past.complex"
+        past.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "verify", "--complex", str(past))
+        assert code == 2
+        assert f"exceed the bound of {bound}" in err
+        del lines[-2]
+        at_bound = cube_model.parse_complex("\n".join(lines) + "\n")
+        assert len(at_bound.salvetti_cubes) == bound
 
     def test_build_refuses_dotted_vertex_name(self, capsys, graph_file, tmp_path):
         text = (

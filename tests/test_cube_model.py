@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import networkx as nx
 import pytest
 from conftest import link_graph
@@ -54,6 +56,17 @@ class TestValidation:
                 [Edge(x, "v", "v") for x in "abc"],
                 [("s", (("a", 1), ("b", 1), ("a", -1), ("b", -1)))],
                 salvetti_cubes=[{"a", "b", "c"}],
+                base_vertex="v",
+            )
+
+    def test_salvetti_cubes_closed_under_subsets(self):
+        # every 2-face of the 4-cube is a square, but its 3-face abc is missing
+        with pytest.raises(ValueError, match="salvetti cubes not closed under subsets"):
+            make_complex(
+                ["v"],
+                [Edge(x, "v", "v") for x in "abcd"],
+                [(f"s{x}{y}", ((x, 1), (y, 1), (x, -1), (y, -1))) for x, y in combinations("abcd", 2)],
+                salvetti_cubes=[set("abcd"), set("abd"), set("acd"), set("bcd")],
                 base_vertex="v",
             )
 
@@ -163,7 +176,7 @@ class TestExtraction:
 
     def test_K3_composite_relator(self):
         c = cons.build_K_odd(3)
-        p = cm.extract_presentation(c, frozenset({"t"}), composite=True)
+        p = cm.extract_presentation(c, frozenset({"t"}))
         assert set(p.generators) == {"a", "b"}
         (rel,) = p.relators
         expected = parse_word("abaBAB")
@@ -172,7 +185,7 @@ class TestExtraction:
 
     def test_K6_composite_relator(self):
         c = cons.build_K_even(6, "a")
-        p = cm.extract_presentation(c, frozenset(), composite=True)
+        p = cm.extract_presentation(c, frozenset())
         (rel,) = p.relators
         expected = parse_word("axxxAXXX")
         variants = set(rotations(expected)) | set(rotations(invert(expected)))
@@ -187,7 +200,7 @@ class TestExtraction:
         non_loops = [e.eid for e in c.edges if not e.is_loop]
         results = set()
         for eid in non_loops:
-            p = cm.extract_presentation(c, frozenset({eid}), composite=True)
+            p = cm.extract_presentation(c, frozenset({eid}))
             results.add(abelian_invariants(p.exponent_matrix(), len(p.generators)))
         assert len(results) == 1
 

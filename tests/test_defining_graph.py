@@ -1,7 +1,9 @@
+import time
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import brute_two_dimensional, two_twos_plan
 
 from cubartin import defining_graph as dg
 
@@ -170,6 +172,7 @@ def three_vertex_graphs():
 def test_three_vertex_enumeration_never_outside():
     for g in three_vertex_graphs():
         assert dg.verdict(g).kind != dg.OUTSIDE_CLASSIFICATION
+        assert dg._two_twos_plan(g) == two_twos_plan(g)
 
 
 @st.composite
@@ -202,7 +205,45 @@ def test_isolated_vertex_keeps_condition_iii_verdict(g):
 
 @given(small_graphs())
 def test_component_plans_partition(g):
+    assert dg.is_two_dimensional(g) == brute_two_dimensional(g)
     v = dg.verdict(g)
     if v.plan is None or v.plan.times_circle is not None:
         return
     assert len(v.plan.pieces) == len(g.components())
+
+
+def as_text(vertices, edges):
+    return "".join(f"vertex {v}\n" for v in vertices) + "".join(f"edge {u} {v} {m}\n" for u, v, m in edges)
+
+
+def path_with_a_three(n):
+    names = [f"v{i}" for i in range(n)]
+    return names, [(names[i], names[i + 1], 3 if i == n // 2 else 2) for i in range(n - 1)]
+
+
+def even_star(leaves):
+    return ["c"] + [f"l{i}" for i in range(leaves)], [("c", f"l{i}", 4) for i in range(leaves)]
+
+
+def single_edges(k):
+    return [x for i in range(k) for x in (f"a{i}", f"b{i}")], [(f"a{i}", f"b{i}", 3) for i in range(k)]
+
+
+@pytest.mark.parametrize(
+    "shape, kind",
+    [
+        (path_with_a_three(400), dg.NOT_COCOMPACTLY_CUBULATED),
+        (even_star(4000), dg.COCOMPACTLY_CUBULATED),
+        (single_edges(4000), dg.COCOMPACTLY_CUBULATED),
+    ],
+    ids=["path-400", "star-4000", "edges-4000"],
+)
+def test_graph_layer_scales(shape, kind):
+    """Parsing and the verdict read the neighbour sets: no shape pays for a
+    scan of every edge per vertex or of every vertex triple."""
+    text = as_text(*shape)
+    start = time.perf_counter()
+    v = dg.verdict(dg.parse_graph(text))
+    elapsed = time.perf_counter() - start
+    assert v.kind == kind
+    assert elapsed < 1

@@ -51,10 +51,10 @@ def test_unreduced_rotation_is_reduced():
     assert (gens, relators) == (["b", "c"], [parse_word("c")])
 
 
-def extracted_both_ways(c, tree, eliminate=None):
-    new = cm.extract_presentation(c, tree, composite=True, eliminate=eliminate)
+def extracted_both_ways(c, tree):
+    new = cm.extract_presentation(c, tree)
     with mock.patch.object(cm, "_tietze_eliminate", rescanning_tietze_eliminate):
-        old = cm.extract_presentation(c, tree, composite=True, eliminate=eliminate)
+        old = cm.extract_presentation(c, tree)
     return new, old
 
 
@@ -97,8 +97,8 @@ def test_plan_shapes_match_rescanning(plan):
 
 @st.composite
 def foreign_complexes(draw):
-    """A connected multigraph with random closed 4-walks as squares, a BFS
-    spanning tree and a random `eliminate` set of edges."""
+    """A connected multigraph with random closed 4-walks as squares, a random
+    set of internal edges to eliminate and a BFS spanning tree."""
     n = draw(st.integers(1, 4))
     vs = [f"x{i}" for i in range(n)]
     pick = st.integers(0, n - 1)
@@ -121,12 +121,12 @@ def foreign_complexes(draw):
             walk.append(draw(st.sampled_from(options)))
         if len(walk) == 4:
             squares.append((f"s{s}", tuple(walk)))
-    c = make_complex(vs, edges, squares)
+    eliminate = draw(st.sets(st.sampled_from([e.eid for e in edges])))
+    c = make_complex(vs, edges, squares, internal_edges=eliminate)
     pairs = [(e.src, e.dst) for e in edges]
     tree_pairs = graphs.bfs(graphs.adjacency(vs, pairs), vs[0])[1]
     tree = {next(e.eid for e in edges if {e.src, e.dst} == set(p)) for p in tree_pairs}
-    eliminate = draw(st.sets(st.sampled_from([e.eid for e in edges])))
-    return c, frozenset(tree), eliminate
+    return c, frozenset(tree)
 
 
 @settings(max_examples=400, deadline=None)
