@@ -121,8 +121,7 @@ def build_salvetti(g: dg.DefiningGraph, vertex: str = "v0") -> CubeComplex:
         squares.append((f"sq.{u}.{v}", ((u, 1), (v, 1), (u, -1), (v, -1))))
     pairs = [tuple(sorted(p)) for p in g.edges]
     # one past the bound is enough for make_complex to refuse the complex
-    cliques = (c for c in graphs.cliques(g.vertices, pairs) if len(c) >= 3)
-    cubes = [frozenset(c) for c in islice(cliques, MAX_CUBES + 1)]
+    cubes = [frozenset(c) for c in islice(graphs.cliques(g.vertices, pairs), MAX_CUBES + 1)]
     return make_complex([vertex], edges, squares, cubes, base_vertex=vertex)
 
 

@@ -15,8 +15,6 @@ Link vertices are edge-ends: an edge u -> v contributes its outgoing end
 
 from __future__ import annotations
 
-from collections import Counter
-from contextlib import suppress
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations, product
@@ -179,16 +177,6 @@ class LinkComplex:
     link_triangles: tuple[frozenset, ...]
 
 
-def square_corners(c: CubeComplex, sid: str, ts) -> list[tuple[str, Traversal, Traversal]]:
-    """The four corners of a square: (vertex, incoming end, outgoing end)."""
-    corners = []
-    for i in range(4):
-        cur, nxt = ts[i], ts[(i + 1) % 4]
-        v = c.head(cur)
-        corners.append((v, c.in_end(cur), tuple(nxt)))
-    return corners
-
-
 def vertex_links(c: CubeComplex) -> dict[str, LinkComplex]:
     """Every vertex link, from one pass over the edges, squares, Salvetti
     cubes and prisms; memoised on the complex like its edge map."""
@@ -199,8 +187,16 @@ def vertex_links(c: CubeComplex) -> dict[str, LinkComplex]:
     for e in c.edges:
         ends[e.src].append((e.eid, 1))
         ends[e.dst].append((e.eid, -1))
+    emap = c._edge_map
+
+    def square_corners(ts):
+        """(vertex, incoming end, outgoing end) at each corner of a square."""
+        for (e, d), nxt in zip(ts, ts[1:] + ts[:1]):
+            edge = emap[e]
+            yield edge.dst if d == 1 else edge.src, (e, -d), nxt
+
     for sid, ts in c.squares:
-        for w, p, q in square_corners(c, sid, ts):
+        for w, p, q in square_corners(ts):
             corners[w].append((sid, frozenset((p, q))))
     # a link triangle spans three commuting loops, so it is a corner of their
     # 3-cube, which the cubes hold as they are closed under subsets
@@ -210,7 +206,7 @@ def vertex_links(c: CubeComplex) -> dict[str, LinkComplex]:
     zmap = dict(c.zloops)
     smap = dict(c.squares)
     for sid in c.prisms:
-        for w, p, q in square_corners(c, sid, smap[sid]):
+        for w, p, q in square_corners(smap[sid]):
             z = zmap[w]
             triangles[w].append(frozenset((p, q, (z, 1))))
             triangles[w].append(frozenset((p, q, (z, -1))))
@@ -242,10 +238,17 @@ def check_npc(c: CubeComplex) -> list[NpcViolation]:
     """Gromov link criterion: every vertex link simple and flag.
 
     Empty list means nonpositively curved.  For 2-dimensional complexes the
-    flag condition is the absence of triangles in the link graph.
+    flag condition is the absence of triangles in the link graph.  Only the
+    vertices that `_corner_screen` flags can fail, so only their links are
+    walked, and a complex with none flagged builds no links at all.
     """
+    flagged = _corner_screen(c)
     violations = []
+    if not flagged:
+        return violations
     for v, link in vertex_links(c).items():
+        if v not in flagged:
+            continue
         seen: set[frozenset] = set()
         simple = True
         for cell, pair in link.link_edges:
@@ -267,8 +270,6 @@ def check_npc(c: CubeComplex) -> list[NpcViolation]:
         simplices = set(link.link_triangles)
         pairs = [tuple(pair) for _, pair in link.link_edges]
         for clique in graphs.cliques(link.link_vertices, pairs):
-            if len(clique) < 3:
-                continue
             labels = frozenset(e for e, _ in clique)
             if len(labels) != len(clique):
                 violations.append(
@@ -287,6 +288,41 @@ def check_npc(c: CubeComplex) -> list[NpcViolation]:
                         NpcViolation(v, "non-flag", f"empty {len(clique)}-clique {sorted(clique)}")
                     )
     return violations
+
+
+def _corner_screen(c: CubeComplex) -> set[str]:
+    """The vertices whose link has a folded corner, a repeated corner or a
+    triangle, from one pass over the square corners in integer codes.
+
+    End (e, +1) of the i-th edge is 2i and (e, -1) is 2i + 1.  Every end lies
+    at one vertex, so the links together form one graph on the codes, and a
+    triangle of it is a triangle of one link: a shared neighbour of the two
+    ends of a corner (Chiba and Nishizeki, SIAM J. Comput. 14, 1985)."""
+    code = {}
+    for i, e in enumerate(c.edges):
+        code[e.eid, 1], code[e.eid, -1] = 2 * i, 2 * i + 1
+
+    def vertex(p):
+        e = c.edges[p >> 1]
+        return e.dst if p & 1 else e.src
+
+    adj = [set() for _ in range(2 * len(c.edges))]
+    flagged = set()
+    for _, ts in c.squares:
+        w, x, y, z = map(code.__getitem__, ts)
+        # the corner after a side joins the side's incoming end (its code
+        # with the low bit flipped) to the next side's outgoing end
+        for p, q in ((w ^ 1, x), (x ^ 1, y), (y ^ 1, z), (z ^ 1, w)):
+            if p == q or q in adj[p]:
+                flagged.add(vertex(p))
+            else:
+                adj[p].add(q)
+                adj[q].add(p)
+    for p, ns in enumerate(adj):
+        for q in ns:
+            if q > p and not ns.isdisjoint(adj[q]):
+                flagged.add(vertex(p))
+    return flagged
 
 
 def euler_characteristic(c: CubeComplex) -> int:
@@ -351,15 +387,35 @@ def _tietze_eliminate(gens, relators, candidates):
     Each step takes the least candidate, in sorted order, that occurs once in
     some relator, solves for it in the first such relator, drops that relator
     and substitutes the value into the relators that hold the candidate.  An
-    index from each candidate to its relators keeps a step to them, and each
-    relator is kept with its inverse, so that rotating, inverting and
-    splicing are tuple slices."""
+    index from each candidate to its relators keeps a step to them, each
+    relator's candidate counts are a dict updated in place, and each relator
+    is kept with its inverse, so that rotating, inverting and splicing are
+    tuple slices."""
     words = [(r, invert(r)) for r in relators]
-    held = [Counter(g for g, _ in r if g in candidates) for r in relators]
+    held = []  # per relator, how often each candidate occurs in it
+    for r in relators:
+        counts = {}
+        for g, _ in r:
+            if g in candidates:
+                counts[g] = counts.get(g, 0) + 1
+        held.append(counts)
     holders = {x: set() for x in candidates}
     for i, counts in enumerate(held):
         for y in counts:
             holders[y].add(i)
+
+    def cancel(counts, cut, k):
+        """Take from counts the candidates of the letters cut, each of which
+        cancelled against its inverse; k is the relator that holds them."""
+        for g, _ in cut:
+            if g in candidates:
+                left = counts[g] - 2
+                if left:
+                    counts[g] = left
+                else:
+                    del counts[g]
+                    holders[g].discard(k)
+
     ready = sorted(candidates)  # a heap; an entry is checked when popped
     while ready:
         x = heappop(ready)
@@ -375,26 +431,26 @@ def _tietze_eliminate(gens, relators, candidates):
         (j,), n = _positions(r, x, 1), len(r)
         rest, cut = _join((r[j + 1:], rinv[:n - j - 1]), (r[:j], rinv[n - j:]))
         value = rest if r[j][1] == -1 else rest[::-1]
-        # Counter subtraction keeps positive counts only
-        value_counts = held[i] - Counter([x] + [g for g, _ in cut] * 2)
+        value_counts = held[i]  # relator i is gone, so its counts become the value's
+        del value_counts[x]
+        cancel(value_counts, cut, i)
         for k in holders.pop(x):
             s, sinv = words[k]
-            m, old = len(s), held[k]
-            positions = _positions(s, x, old[x])
+            m, counts = len(s), held[k]
+            positions = _positions(s, x, counts.pop(x))
             acc, cut = (s[:positions[0]], sinv[m - positions[0]:]), ()
             for p, q in zip(positions, positions[1:] + [m]):
                 for piece in (value if s[p][1] == 1 else value[::-1], (s[p + 1:q], sinv[m - q:m - p - 1])):
                     acc, more = _join(acc, piece)
                     cut += more
-            counts = old + Counter({y: c * len(positions) for y, c in value_counts.items()})
-            counts -= Counter([x] * len(positions) + [g for g, _ in cut] * 2)
-            for y in old.keys() - counts.keys() - {x}:
-                holders[y].discard(k)
+            for y, c in value_counts.items():
+                counts[y] = counts.get(y, 0) + c * len(positions)
+            cancel(counts, cut, k)
             for y, c in counts.items():
                 holders[y].add(k)
                 if c == 1:
                     heappush(ready, y)
-            words[k], held[k] = acc, counts
+            words[k] = acc
     eliminated = set(candidates) - holders.keys()
     return [g for g in gens if g not in eliminated], [w for w, _ in filter(None, words)]
 
@@ -404,10 +460,12 @@ def _positions(w: Word, x: str, count: int) -> list[int]:
     found = []
     for letter in ((x, 1), (x, -1)):
         p = -1
-        with suppress(ValueError):
+        try:
             while len(found) < count:
                 p = w.index(letter, p + 1)
                 found.append(p)
+        except ValueError:
+            pass
     return sorted(found)
 
 

@@ -1,7 +1,8 @@
 """Direct, slow versions of the cube certificates, kept as test oracles.
 
 `rescan_vertex_link` builds one link by scanning every edge, square, cube
-and prism of the complex (O(V S) over all vertices); `union_find_split`
+and prism of the complex (O(V S) over all vertices); `link_walk_npc` walks
+every vertex link for folds, bigons and unfilled cliques; `union_find_split`
 cuts the 1-skeleton along each hyperplane by its own union-find (O(H E));
 `triple_loop_median` takes the split's coordinates, checks every pair
 distance by breadth-first search and closes the coordinates under the
@@ -10,19 +11,29 @@ split's frozenset sides; `rescanning_tietze_eliminate` rescans and
 rewrites every relator at each elimination step; `brute_two_dimensional`
 walks every vertex triple of a defining graph, and `two_twos_plan` spells
 out the three-generator plan piece by piece.  The library's one-pass
-`vertex_links`, one-search `CubicalStructure` with its coordinate and
-carrier masks, indexed `_tietze_eliminate`, neighbour-set triangle scan and
-subgraph plans must agree with them.
+`vertex_links`, corner-screened `check_npc`, one-search `CubicalStructure`
+with its coordinate and carrier masks, indexed `_tietze_eliminate`,
+neighbour-set triangle scan and subgraph plans must agree with them.
 """
 
 from itertools import combinations, product
 
 from cubartin import graphs
 from cubartin.coxeter import is_spherical_triangle
-from cubartin.cube_model import LinkComplex, square_corners
+from cubartin.cube_model import LinkComplex, NpcViolation, vertex_links
 from cubartin.defining_graph import Circle, ConstructionPlan, EvenEdge, OddEdge
 from cubartin.toolkit import _edge_classes
 from cubartin.words import free_reduce, invert
+
+
+def square_corners(c, ts):
+    """The four corners of a square: (vertex, incoming end, outgoing end)."""
+    corners = []
+    for i in range(4):
+        cur, nxt = ts[i], ts[(i + 1) % 4]
+        v = c.head(cur)
+        corners.append((v, c.in_end(cur), tuple(nxt)))
+    return corners
 
 
 def rescan_vertex_link(c, v) -> LinkComplex:
@@ -36,7 +47,7 @@ def rescan_vertex_link(c, v) -> LinkComplex:
             ends.append((e.eid, -1))
     edges = []
     for sid, ts in c.squares:
-        for w, p, q in square_corners(c, sid, ts):
+        for w, p, q in square_corners(c, ts):
             if w == v:
                 edges.append((sid, frozenset((p, q))))
     triangles = []
@@ -53,12 +64,60 @@ def rescan_vertex_link(c, v) -> LinkComplex:
     zmap = dict(c.zloops)
     smap = dict(c.squares)
     for sid in c.prisms:
-        for w, p, q in square_corners(c, sid, smap[sid]):
+        for w, p, q in square_corners(c, smap[sid]):
             if w == v:
                 z = zmap[v]
                 triangles.append(frozenset((p, q, (z, 1))))
                 triangles.append(frozenset((p, q, (z, -1))))
     return LinkComplex(v, tuple(sorted(ends)), tuple(edges), tuple(dict.fromkeys(triangles)))
+
+
+def link_walk_npc(c):
+    """check_npc by walking every vertex link: its folded and repeated
+    corners, then every clique of its graph against the filled simplices."""
+    violations = []
+    for v, link in vertex_links(c).items():
+        seen: set[frozenset] = set()
+        simple = True
+        for cell, pair in link.link_edges:
+            if len(pair) == 1:
+                violations.append(
+                    NpcViolation(v, "loop", f"cell {cell} folds the end {next(iter(pair))}")
+                )
+                simple = False
+            elif pair in seen:
+                p, q = sorted(pair)
+                violations.append(
+                    NpcViolation(v, "bigon", f"repeated link edge {p}-{q} (cell {cell})")
+                )
+                simple = False
+            else:
+                seen.add(pair)
+        if not simple:
+            continue
+        simplices = set(link.link_triangles)
+        pairs = [tuple(pair) for _, pair in link.link_edges]
+        for clique in graphs.cliques(link.link_vertices, pairs):
+            if len(clique) < 3:
+                continue
+            labels = frozenset(e for e, _ in clique)
+            if len(labels) != len(clique):
+                violations.append(
+                    NpcViolation(v, "non-flag", f"clique reuses an edge: {sorted(clique)}")
+                )
+                continue
+            if len(clique) == 3:
+                if frozenset(clique) not in simplices:
+                    violations.append(
+                        NpcViolation(v, "non-flag", f"empty triangle {sorted(clique)}")
+                    )
+            else:
+                # only salvetti cubes span simplices of dimension >= 3
+                if v != c.base_vertex or labels not in c.salvetti_cubes:
+                    violations.append(
+                        NpcViolation(v, "non-flag", f"empty {len(clique)}-clique {sorted(clique)}")
+                    )
+    return violations
 
 
 def union_find_split(c):

@@ -11,6 +11,7 @@ from itertools import combinations, product
 import networkx as nx
 import pytest
 from conftest import link_graph
+from factories import grid_complex, tree_complex
 from oracles import brute_crossing, brute_facing_triple, halfspaces
 
 from cubartin import artin_algebra as aa
@@ -229,9 +230,9 @@ def test_criterion_7_toolkit(rng):
     structures = [
         tk.CubicalStructure(c)
         for c in (
-            tk.grid_complex(2, 3),
-            tk.grid_complex(3, 3),
-            tk.tree_complex(
+            grid_complex(2, 3),
+            grid_complex(3, 3),
+            tree_complex(
                 [("o", "a"), ("o", "b"), ("a", "c"), ("a", "d"), ("b", "e")]
             ),
         )

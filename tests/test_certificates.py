@@ -1,20 +1,24 @@
-"""The one-pass vertex links, the one-search median certificate, the mask
-hull and the mask hyperplane queries against their direct oracles
-(tests/oracles.py) on Sageev duals, grids, cubes, hypercube subgraphs with
-some or all squares, random multigraphs with random squares, and the
-complexes of the constructive route."""
+"""The one-pass vertex links, the corner-screened curvature check, the
+one-search median certificate, the mask hull and the mask hyperplane queries
+against their direct oracles (tests/oracles.py) on Sageev duals, grids,
+cubes, hypercube subgraphs with some or all squares, random multigraphs with
+random squares, and the complexes of the constructive route, whole and
+damaged."""
 
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from factories import grid_complex, hypercube_complex, tree_complex
 from oracles import (
     brute_crossing,
     brute_facing_triple,
     brute_gate_edge_duality,
     brute_product,
     halfspace_hull,
+    link_walk_npc,
     rescan_vertex_link,
     triple_loop_median,
     union_find_split,
@@ -35,8 +39,8 @@ def duals(draw):
     return tk.sageev_dual(tk.Wallspace(n, walls))
 
 
-grids = st.builds(tk.grid_complex, st.integers(0, 6), st.integers(0, 6))
-cubes = st.builds(tk.hypercube_complex, st.integers(0, 5))
+grids = st.builds(grid_complex, st.integers(0, 6), st.integers(0, 6))
+cubes = st.builds(hypercube_complex, st.integers(0, 5))
 
 
 def cube_subgraph(k, keep, fill=lambda corners: True):
@@ -112,6 +116,65 @@ def built(draw):
     return cons.build_from_plan(plan)
 
 
+def without_prism(c, sid):
+    return replace(c, prisms=tuple(p for p in c.prisms if p != sid))
+
+
+def without_cube(c, cube):
+    """c without a Salvetti cube and the cubes above it, so that the rest
+    stays closed under subsets."""
+    return replace(c, salvetti_cubes=frozenset(x for x in c.salvetti_cubes if not cube <= x))
+
+
+@st.composite
+def salvettis(draw):
+    """Salvetti complexes of graphs on three to five vertices, labels 2."""
+    vs = "abcde"[: draw(st.integers(3, 5))]
+    pairs = draw(st.sets(st.sampled_from(list(combinations(vs, 2))), min_size=1))
+    text = "".join(f"vertex {v}\n" for v in vs) + "".join(f"edge {u} {v} 2\n" for u, v in sorted(pairs))
+    return cons.build_salvetti(dg.parse_graph(text))
+
+
+@st.composite
+def damaged(draw):
+    """A complex with one cell doubled, folded or removed: a square of one
+    of the families repeated under a new id, a folded square at an edge end
+    of one, a prism of a built complex times a circle, or a 3-cube of a
+    Salvetti complex."""
+    kind = draw(st.sampled_from(("double", "fold", "prism", "cube")))
+    if kind == "prism":
+        k = draw(built())
+        assume(not k.zloops)  # its own circle would reuse the z names
+        c = cons.build_product_with_circle(k)
+        assume(c.prisms)
+        return without_prism(c, draw(st.sampled_from(c.prisms)))
+    if kind == "cube":
+        c = draw(salvettis())
+        threes = sorted(sorted(x) for x in c.salvetti_cubes if len(x) == 3)
+        assume(threes)
+        return without_cube(c, frozenset(draw(st.sampled_from(threes))))
+    c = draw(st.one_of(duals(), cube_subgraphs(), multigraphs(), built()))
+    if kind == "double":
+        assume(c.squares)
+        sid, ts = draw(st.sampled_from(c.squares))
+        return replace(c, squares=c.squares + ((f"{sid}'", ts),))
+    # the folded square t1 t2 t2^-1 t1^-1
+    assume(c.edges)
+    e = draw(st.sampled_from(c.edges))
+    t1 = (e.eid, draw(st.sampled_from((1, -1))))
+    head = c.head(t1)
+    outgoing = [(f.eid, 1) for f in c.edges if f.src == head] + [(f.eid, -1) for f in c.edges if f.dst == head]
+    t2 = draw(st.sampled_from(outgoing))
+    ts = (t1, t2, (t2[0], -t2[1]), (t1[0], -t1[1]))
+    return replace(c, squares=c.squares + (("fold", ts),))
+
+
+def k4_salvetti():
+    k4 = "".join(f"vertex {v}\n" for v in "abcd")
+    k4 += "".join(f"edge {u} {v} 2\n" for u, v in combinations("abcd", 2))
+    return cons.build_salvetti(dg.parse_graph(k4))
+
+
 def q3_minus_vertex(fill=True):
     return cube_subgraph(3, set(range(7)), lambda _: fill)
 
@@ -143,18 +206,44 @@ class TestLinks:
             assert cm.vertex_link(c, v) is links[v]
 
     def test_salvetti_and_prism_links(self):
-        k4 = "".join(f"vertex {v}\n" for v in "abcd")
-        k4 += "".join(f"edge {u} {v} 2\n" for u, v in combinations("abcd", 2))
-        salvetti = cons.build_salvetti(dg.parse_graph(k4))
-        for c in (salvetti, cons.build_product_with_circle(cons.build_K_odd(3))):
+        for c in (k4_salvetti(), cons.build_product_with_circle(cons.build_K_odd(3))):
             for v in c.vertices:
                 assert_same_link(cm.vertex_link(c, v), rescan_vertex_link(c, v))
             assert cm.check_npc(c) == []
 
     def test_memoised_for_the_complex(self):
-        c = tk.grid_complex(2, 2)
+        c = grid_complex(2, 2)
         assert cm.vertex_links(c) is cm.vertex_links(c)
-        assert cm.vertex_links(tk.grid_complex(2, 2)) is not cm.vertex_links(c)
+        assert cm.vertex_links(grid_complex(2, 2)) is not cm.vertex_links(c)
+
+
+class TestNpc:
+    """check_npc walks only the links its corner screen flags; the list it
+    returns is the walk of every link, in the same order."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(duals(), cube_subgraphs(), multigraphs(), built(), damaged()))
+    def test_matches_link_walk(self, c):
+        assert cm.check_npc(c) == link_walk_npc(c)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: without_cube(k4_salvetti(), frozenset("abc")),
+            lambda: without_cube(k4_salvetti(), frozenset("bcd")),
+            lambda: without_prism(cons.build_product_with_circle(cons.build_K_odd(3)), "s2"),
+        ],
+    )
+    def test_removed_cells(self, make):
+        c = make()
+        violations = cm.check_npc(c)
+        assert violations
+        assert violations == link_walk_npc(c)
+
+    def test_npc_two_dimensional_build_walks_no_link(self):
+        c = cons.build_from_plan(dg.verdict(dg.parse_graph("vertex a\nvertex b\nedge a b 401\n")).plan)
+        assert cm.check_npc(c) == []
+        assert not hasattr(c, "_links_cache")
 
 
 class TestMedian:
@@ -202,9 +291,9 @@ class TestMedian:
             (q3_minus_vertex, False),
             (lambda: q3_minus_vertex(fill=False), False),
             (hexagon, False),
-            (lambda: tk.grid_complex(1, 2), True),  # a hexagon cut by one chord into two squares
+            (lambda: grid_complex(1, 2), True),  # a hexagon cut by one chord into two squares
             (lambda: cube_subgraph(2, {0, 1, 2, 3}, lambda _: False), False),
-            (lambda: tk.tree_complex([("o", "x"), ("o", "y"), ("y", "z")]), True),
+            (lambda: tree_complex([("o", "x"), ("o", "y"), ("y", "z")]), True),
         ],
     )
     def test_named_cases(self, make, median):

@@ -142,7 +142,7 @@ class TestBuildVerify:
         assert f"exceed the bound of {bound}" in err
         assert not out_path.exists()
         # the first 4097 cliques of K_13 are closed under subsets
-        cliques = (c for c in graphs.cliques(names, combinations(names, 2)) if len(c) >= 3)
+        cliques = graphs.cliques(names, combinations(names, 2))
         lines = ["cubecomplex 1", "vertex v", *(f"edge {x} v v {x}" for x in names)]
         lines += [f"square sq.{x}.{y} {x}+ {y}+ {x}- {y}-" for x, y in combinations(names, 2)]
         lines += ["cube " + " ".join(c) for c in islice(cliques, bound + 1)]
@@ -189,7 +189,7 @@ class TestToolkit:
     @pytest.fixture()
     def square_file(self, tmp_path):
         from cubartin.cube_model import complex_text
-        from cubartin.toolkit import grid_complex
+        from factories import grid_complex
 
         p = tmp_path / "grid.complex"
         p.write_text(complex_text(grid_complex(1, 1)))
@@ -243,7 +243,7 @@ class TestToolkit:
     @pytest.fixture()
     def tripod_file(self, tmp_path):
         from cubartin.cube_model import complex_text
-        from cubartin.toolkit import tree_complex
+        from factories import tree_complex
 
         p = tmp_path / "tripod.complex"
         p.write_text(complex_text(tree_complex([("o", "x"), ("o", "y"), ("o", "z")])))
@@ -318,7 +318,7 @@ class TestToolkit:
 
     def test_partial_cube_that_is_not_median_exits_2(self, capsys, tmp_path):
         from cubartin.cube_model import complex_text, make_complex
-        from cubartin.toolkit import hypercube_complex
+        from factories import hypercube_complex
 
         # Q3 minus a vertex, with its three squares: each hyperplane still
         # cuts it in two, but the three squares around c000 span no cube
@@ -343,7 +343,7 @@ class TestToolkit:
 
     def test_complex_past_the_vertex_bound_exits_2(self, capsys, tmp_path):
         from cubartin.cube_model import complex_text
-        from cubartin.toolkit import path_complex
+        from factories import path_complex
 
         path = tmp_path / "path.complex"
         path.write_text(complex_text(path_complex(2000)))

@@ -6,6 +6,7 @@ and of foreign complexes."""
 from itertools import combinations
 from unittest import mock
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import rescanning_tietze_eliminate
@@ -49,6 +50,24 @@ def test_random_relators_match_rescanning(case):
 def test_unreduced_rotation_is_reduced():
     (gens, relators), _ = both("abc", [parse_word("bAB"), parse_word("ac")], {"a"})
     assert (gens, relators) == (["b", "c"], [parse_word("c")])
+
+
+@pytest.mark.parametrize(
+    "case, result",
+    [
+        # a = B from "ab"; splicing it into "bac" cancels b B, and b is no candidate
+        (("abc", ["ab", "bac"], {"a"}), (["b", "c"], ["c"])),
+        # a = C from "ac"; splicing it into "cab" cancels c C, so the count of c
+        # in that relator drops from 2 to 0
+        (("abc", ["ac", "cab"], {"a", "c"}), (["b", "c"], ["b"])),
+        # solving "caC" for a cancels c against C, so the value a = 1 holds no c
+        (("acd", ["caC", "ad", "cd"], {"a", "c"}), (["d"], ["d"])),
+    ],
+)
+def test_cancelled_letters_match_rescanning(case, result):
+    gens, relators, candidates = case
+    new, old = both(gens, [parse_word(r) for r in relators], candidates)
+    assert new == old == (result[0], [parse_word(r) for r in result[1]])
 
 
 def extracted_both_ways(c, tree):

@@ -3,6 +3,7 @@ import tracemalloc
 from itertools import combinations, product
 
 import pytest
+from factories import grid_complex, hypercube_complex, path_complex, tree_complex
 from oracles import brute_crossing, brute_facing_triple, halfspaces
 
 from cubartin import toolkit as tk
@@ -54,17 +55,17 @@ def brute_median(c):
 
 class TestHyperplanes:
     def test_cube_has_three(self):
-        assert len(structure(tk.hypercube_complex(3)).hyperplanes) == 3
+        assert len(structure(hypercube_complex(3)).hyperplanes) == 3
 
     def test_tree_one_per_edge(self):
-        t = tk.tree_complex([("o", "x"), ("o", "y"), ("y", "z")])
+        t = tree_complex([("o", "x"), ("o", "y"), ("y", "z")])
         assert len(structure(t).hyperplanes) == 3
 
     def test_grid_2x3_has_five(self):
-        assert len(structure(tk.grid_complex(2, 3)).hyperplanes) == 5
+        assert len(structure(grid_complex(2, 3)).hyperplanes) == 5
 
     def test_halfspaces_partition(self):
-        s = structure(tk.grid_complex(2, 2))
+        s = structure(grid_complex(2, 2))
         for h in s.hyperplanes:
             plus = {v for v, x in s.coords.items() if x >> h.hid & 1}
             assert 0 < len(plus) < len(s.coords)
@@ -78,7 +79,7 @@ class TestHyperplanes:
 
     def test_memory_stays_linear(self):
         # no per-hyperplane vertex sets: 999 hyperplanes over 1000 vertices
-        c = tk.path_complex(999)
+        c = path_complex(999)
         tracemalloc.start()
         structure(c)
         peak = tracemalloc.get_traced_memory()[1]
@@ -97,21 +98,21 @@ class TestHyperplanes:
 
 class TestHull:
     def test_square_opposite_corners(self):
-        s = structure(tk.grid_complex(1, 1))
+        s = structure(grid_complex(1, 1))
         assert s.convex_hull({"v0.0", "v1.1"}) == frozenset(s.complex.vertices)
 
     def test_tree_geodesic(self):
-        t = tk.tree_complex([("o", "x"), ("o", "y"), ("y", "z")])
+        t = tree_complex([("o", "x"), ("o", "y"), ("y", "z")])
         s = structure(t)
         assert s.convex_hull({"x", "z"}) == {"x", "o", "y", "z"}
 
     def test_grid_subgrid(self):
-        s = structure(tk.grid_complex(2, 3))
+        s = structure(grid_complex(2, 3))
         hull = s.convex_hull({"v0.0", "v2.1"})
         assert hull == {f"v{i}.{j}" for i in range(3) for j in range(2)}
 
     def test_idempotent_and_monotone(self):
-        s = structure(tk.grid_complex(2, 3))
+        s = structure(grid_complex(2, 3))
         small = s.convex_hull({"v0.0", "v1.2"})
         big = s.convex_hull({"v0.0", "v2.3"})
         assert s.convex_hull(small) == small
@@ -119,25 +120,25 @@ class TestHull:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            structure(tk.grid_complex(1, 1)).convex_hull(set())
+            structure(grid_complex(1, 1)).convex_hull(set())
 
 
 class TestGates:
     def test_tripod_leaves(self):
-        t = tk.tree_complex([("o", "x"), ("o", "y"), ("o", "z")])
+        t = tree_complex([("o", "x"), ("o", "y"), ("o", "z")])
         s = structure(t)
         gp = s.gates({"x"}, {"y"})
         assert (gp.v1, gp.v2, gp.delta_sep) == ({"x"}, {"y"}, 2)
 
     def test_square_opposite_sides(self):
-        s = structure(tk.grid_complex(1, 1))
+        s = structure(grid_complex(1, 1))
         gp = s.gates({"v0.0", "v0.1"}, {"v1.0", "v1.1"})
         assert gp.v1 == {"v0.0", "v0.1"}
         assert gp.v2 == {"v1.0", "v1.1"}
         assert gp.delta_sep == 1
 
     def test_matching_preserves_distance(self):
-        s = structure(tk.grid_complex(2, 3))
+        s = structure(grid_complex(2, 3))
         y1 = s.convex_hull({"v0.0", "v0.1"})
         y2 = s.convex_hull({"v2.2", "v2.3"})
         gp = s.gates(y1, y2)
@@ -145,21 +146,21 @@ class TestGates:
             assert s.distance(v, w) == gp.delta_sep
 
     def test_non_convex_rejected(self):
-        s = structure(tk.grid_complex(1, 1))
+        s = structure(grid_complex(1, 1))
         with pytest.raises(ValueError, match="convex"):
             s.gates({"v0.0", "v1.1"}, {"v0.1"})
 
     def test_duality_square(self):
-        s = structure(tk.grid_complex(1, 1))
+        s = structure(grid_complex(1, 1))
         gp = s.gates({"v0.0", "v0.1"}, {"v1.0", "v1.1"})
         ok, witness = s.check_gate_edge_duality(gp)
         assert ok and witness is None
 
     def test_duality_randomized(self, rng):
         complexes = [
-            tk.grid_complex(2, 3),
-            tk.grid_complex(3, 3),
-            tk.tree_complex(
+            grid_complex(2, 3),
+            grid_complex(3, 3),
+            tree_complex(
                 [("o", "a"), ("o", "b"), ("a", "c"), ("a", "d"), ("b", "e")]
             ),
         ]
@@ -179,21 +180,21 @@ class TestGates:
 
 class TestParallelSet:
     def test_square_edge(self):
-        s = structure(tk.grid_complex(1, 1))
+        s = structure(grid_complex(1, 1))
         pd = s.parallel_set({"v0.0", "v1.0"})
         assert pd.parallel_set == frozenset(s.complex.vertices)
         assert len(pd.copies) == 2
         assert pd.orthogonal == {"v0.0", "v0.1"}
 
     def test_tree_edge_is_rigid(self):
-        t = tk.tree_complex([("o", "x"), ("o", "y")])
+        t = tree_complex([("o", "x"), ("o", "y")])
         s = structure(t)
         pd = s.parallel_set({"o", "x"})
         assert pd.parallel_set == {"o", "x"}
         assert pd.orthogonal == {"o"}
 
     def test_grid_middle_column(self):
-        s = structure(tk.grid_complex(2, 3))
+        s = structure(grid_complex(2, 3))
         col = s.convex_hull({"v0.1", "v2.1"})
         pd = s.parallel_set(col)
         assert len(pd.copies) == 4
@@ -201,7 +202,7 @@ class TestParallelSet:
         assert len(pd.orthogonal) == 4
 
     def test_product_structure(self):
-        s = structure(tk.grid_complex(2, 3))
+        s = structure(grid_complex(2, 3))
         col = s.convex_hull({"v0.1", "v2.1"})
         pd = s.parallel_set(col)
         assert len(pd.parallel_set) == len(pd.copies) * len(col)
@@ -215,21 +216,21 @@ class TestParallelSet:
 
 class TestProductDecompose:
     def test_square_two_factors(self):
-        pp = structure(tk.grid_complex(1, 1)).product_decompose()
+        pp = structure(grid_complex(1, 1)).product_decompose()
         assert len(pp.classes) == 2
 
     def test_tripod_irreducible(self):
-        t = tk.tree_complex([("o", "x"), ("o", "y"), ("o", "z")])
+        t = tree_complex([("o", "x"), ("o", "y"), ("o", "z")])
         assert len(structure(t).product_decompose().classes) == 1
 
     def test_grid_path_factors(self):
-        s = structure(tk.grid_complex(2, 3))
+        s = structure(grid_complex(2, 3))
         pp = s.product_decompose()
         assert sorted(len(c) for c in pp.classes) == [2, 3]
         assert sorted(len(f) for f in pp.factors) == [3, 4]
 
     def test_factor_product_counts(self):
-        for c in (tk.grid_complex(2, 2), tk.hypercube_complex(3), tk.path_complex(4)):
+        for c in (grid_complex(2, 2), hypercube_complex(3), path_complex(4)):
             s = structure(c)
             pp = s.product_decompose()
             n = 1
@@ -238,7 +239,7 @@ class TestProductDecompose:
             assert n == len(c.vertices)
 
     def test_classes_pairwise_cross(self):
-        c = tk.grid_complex(2, 3)
+        c = grid_complex(2, 3)
         sides = halfspaces(c)
         pp = structure(c).product_decompose()
         for c1, c2 in combinations(pp.classes, 2):
@@ -249,15 +250,15 @@ class TestProductDecompose:
 
 class TestFacingTriple:
     def test_tripod_true(self):
-        t = tk.tree_complex([("o", "x"), ("o", "y"), ("o", "z")])
+        t = tree_complex([("o", "x"), ("o", "y"), ("o", "z")])
         found, witness = structure(t).has_facing_triple()
         assert found and len(witness) == 3
 
     def test_path_false(self):
-        assert structure(tk.path_complex(5)).has_facing_triple() == (False, None)
+        assert structure(path_complex(5)).has_facing_triple() == (False, None)
 
     def test_cube_false(self):
-        assert structure(tk.hypercube_complex(3)).has_facing_triple() == (False, None)
+        assert structure(hypercube_complex(3)).has_facing_triple() == (False, None)
 
     def test_matches_exhaustive_search(self, rng):
         for _ in range(20):
@@ -377,7 +378,7 @@ class TestSageevDual:
 
 class TestIsMedian:
     def test_tree(self):
-        assert tk.is_median(tk.tree_complex([("o", "x"), ("o", "y"), ("y", "z")]))
+        assert tk.is_median(tree_complex([("o", "x"), ("o", "y"), ("y", "z")]))
 
     def test_cylinder_not_median(self):
         cyl = make_complex(
@@ -407,10 +408,10 @@ class TestIsMedian:
 
     def test_agrees_with_brute_force(self, rng):
         cases = [
-            tk.grid_complex(2, 2),
-            tk.path_complex(4),
-            tk.hypercube_complex(3),
-            tk.tree_complex([("o", "x"), ("o", "y"), ("x", "z")]),
+            grid_complex(2, 2),
+            path_complex(4),
+            hypercube_complex(3),
+            tree_complex([("o", "x"), ("o", "y"), ("x", "z")]),
         ]
         for _ in range(10):
             cases.append(tk.sageev_dual(_random_wallspace(rng, 5, 5)))
@@ -419,4 +420,4 @@ class TestIsMedian:
 
     def test_size_bound(self):
         with pytest.raises(ValueError, match="bound"):
-            tk.is_median(tk.path_complex(tk.MAX_VERTICES))
+            tk.is_median(path_complex(tk.MAX_VERTICES))
