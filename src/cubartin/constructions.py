@@ -44,7 +44,9 @@ def artin_presentation(g: dg.DefiningGraph) -> Presentation:
     return Presentation(g.vertices, tuple(relators))
 
 
-def build_K_odd(n: int, u: str = "a", v: str = "b", prefix: str = "") -> CubeComplex:
+def build_K_odd(
+    n: int, u: str = "a", v: str = "b", prefix: str = "", vertex: str | None = None
+) -> CubeComplex:
     """Strip complex for a single edge labeled by odd n.
 
     Two vertices; edges a: v0->v1, b: v1->v0, t: v0->v1 and internal
@@ -53,7 +55,8 @@ def build_K_odd(n: int, u: str = "a", v: str = "b", prefix: str = "") -> CubeCom
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("K_n needs an odd label n >= 3")
-    v0, v1 = prefix + "v0", prefix + "v1"
+    v0 = vertex if vertex is not None else prefix + "v0"
+    v1 = prefix + "v1"
     t = prefix + "t"
     edges = [
         Edge(u, v0, v1, u),
@@ -125,10 +128,30 @@ def build_salvetti(g: dg.DefiningGraph, vertex: str = "v0") -> CubeComplex:
     return make_complex([vertex], edges, squares, cubes, base_vertex=vertex)
 
 
-def _merge(pieces: list[CubeComplex], vertices, base_vertex=None) -> CubeComplex:
+def _pieces(item, base: str) -> list[CubeComplex]:
+    """The complexes of one plan piece, wedged at the vertex base.  An
+    amalgam is the Salvetti complex of its interior graph and one K_{n,s}
+    per leaf, glued along the s-circles by sharing their edge ids."""
+    if isinstance(item, dg.Circle):
+        return [make_complex([base], [Edge(item.vertex, base, base, item.vertex)], [])]
+    if isinstance(item, dg.OddEdge):
+        return [build_K_odd(item.n, item.u, item.v, prefix=f"{item.u}.{item.v}.", vertex=base)]
+    if isinstance(item, dg.EvenEdge):
+        return [build_K_even(item.n, g=item.generator, prefix=f"{item.u}.{item.v}.", vertex=base)]
+    if isinstance(item, dg.Amalgam):
+        leaves = [build_K_even(n, g=s, prefix=f"{s}.{t}.", vertex=base) for s, t, n in item.leaves]
+        return [build_salvetti(item.interior, vertex=base)] + leaves
+    raise TypeError(f"unknown plan piece {item!r}")
+
+
+def _merge(pieces: list[CubeComplex], base: str) -> CubeComplex:
+    """One complex from pieces wedged at base; an edge id shared by two
+    pieces must name the same edge, and is kept once."""
+    vertices = [base]
     edges, squares, cubes, internal = [], [], set(), set()
     seen_edges: dict[str, Edge] = {}
     for p in pieces:
+        vertices += [v for v in p.vertices if v != base]
         for e in p.edges:
             if e.eid not in seen_edges:
                 seen_edges[e.eid] = e
@@ -138,66 +161,17 @@ def _merge(pieces: list[CubeComplex], vertices, base_vertex=None) -> CubeComplex
         squares.extend(p.squares)
         cubes |= set(p.salvetti_cubes)
         internal |= set(p.internal_edges)
+    salvetti_base = base if any(p.base_vertex for p in pieces) else None
     return make_complex(
-        vertices, edges, squares, cubes, base_vertex, internal_edges=internal
+        vertices, edges, squares, cubes, salvetti_base, internal_edges=internal
     )
-
-
-def build_amalgam(plan: dg.Amalgam, base: str = "v0") -> CubeComplex:
-    """Glue the Salvetti complex of the interior graph with one K_{n,s} per
-    leaf along the s-circles (all pieces share the single base vertex)."""
-    pieces = [build_salvetti(plan.interior, vertex=base)]
-    for s, t, n in plan.leaves:
-        pieces.append(build_K_even(n, g=s, prefix=f"{s}.{t}.", vertex=base))
-    merged = _merge(pieces, [base], base_vertex=base)
-    return merged
-
-
-def build_component(piece, base: str = "v0") -> CubeComplex:
-    if isinstance(piece, dg.Circle):
-        return make_complex([base], [Edge(piece.vertex, base, base, piece.vertex)], [])
-    if isinstance(piece, dg.OddEdge):
-        return build_K_odd(piece.n, piece.u, piece.v, prefix=f"{piece.u}.{piece.v}.")
-    if isinstance(piece, dg.EvenEdge):
-        return build_K_even(
-            piece.n, g=piece.generator, prefix=f"{piece.u}.{piece.v}.", vertex=base
-        )
-    if isinstance(piece, dg.Amalgam):
-        return build_amalgam(piece, base=base)
-    raise TypeError(f"unknown plan piece {piece!r}")
 
 
 def build_from_plan(plan: dg.ConstructionPlan) -> CubeComplex:
-    base = "v0"
-    pieces = []
-    for item in plan.pieces:
-        piece = build_component(item, base=base)
-        if isinstance(item, dg.OddEdge):
-            # wedge the strip complex at its v0 vertex
-            piece = _rename_vertex(piece, f"{item.u}.{item.v}.v0", base)
-        pieces.append(piece)
-    vertices = [base]
-    for p in pieces:
-        vertices += [v for v in p.vertices if v != base]
-    salvetti_base = base if any(p.base_vertex for p in pieces) else None
-    c = _merge(pieces, vertices, base_vertex=salvetti_base)
+    c = _merge([p for item in plan.pieces for p in _pieces(item, "v0")], "v0")
     if plan.times_circle is not None:
         c = build_product_with_circle(c, z_name=plan.times_circle)
     return c
-
-
-def _rename_vertex(c: CubeComplex, old: str, new: str) -> CubeComplex:
-    sub = lambda v: new if v == old else v
-    return make_complex(
-        [sub(v) for v in c.vertices],
-        [Edge(e.eid, sub(e.src), sub(e.dst), e.label) for e in c.edges],
-        c.squares,
-        c.salvetti_cubes,
-        sub(c.base_vertex) if c.base_vertex else None,
-        c.prisms,
-        [(sub(v), z) for v, z in c.zloops],
-        c.internal_edges,
-    )
 
 
 def build_for_graph(g: dg.DefiningGraph) -> CubeComplex:

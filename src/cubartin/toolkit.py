@@ -8,8 +8,11 @@ operations reduce to integer arithmetic.
 
 A CubicalStructure certifies its complex as it labels the vertices, and
 is_median is that certificate as a predicate.  Both refuse complexes above
-MAX_VERTICES = 2000 vertices, where a path takes about 1.5 s and a 44 x 44
-grid 0.4-0.45 s (Python 3.11, 2 vCPUs), and so does sageev_dual.
+MAX_VERTICES = 2000 vertices, and so does sageev_dual.  At that bound
+(Python 3.11, 2 vCPUs) the certificate takes 0.02-0.04 s on a path, 0.04-0.05
+s on a 44 x 44 grid, 0.04 s on the 10-cube and 0.31 s on a 3 x 666 grid, the
+slowest shape found; gates between two halves and product_decompose take at
+most 5 ms, and has_facing_triple 2.8-2.9 s on the path (budget 10 s).
 """
 
 from __future__ import annotations
@@ -78,6 +81,14 @@ def _hull_mask(coords) -> tuple[int, int]:
     return ~(lo ^ hi), lo
 
 
+def _bits(mask: int):
+    """The set bits of a nonnegative mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 MAX_VERTICES = 2000  # for every CubicalStructure, so for every is_median
 
 
@@ -88,12 +99,24 @@ class CubicalStructure:
     Coordinates are integer bitmasks (bit h set iff the vertex lies in the
     plus side of hyperplane h), so d(u, v) = popcount(coord_u ^ coord_v).
     A vertex's coordinate is its BFS parent's XOR the tree edge's class bit
-    (Eppstein, JGAA 15, 2011).  Mulder's characterization is then checked:
-    every edge flips exactly its own bit; no u != v agrees with v on every
-    bit that v's edges flip (so Hamming distance is graph distance, and
-    each class cuts the graph into two convex halfspaces); and each side of
-    every hyperplane's carrier is convex.  Cost: O(V + E) for the labels,
-    then O(V^2) and O(H V) integer operations.
+    (Eppstein, JGAA 15, 2011).  Mulder's characterization is then checked
+    in three passes: (E) every edge flips exactly its own class bit and (D)
+    the coordinates are distinct, O(V + E) with connectivity; (C) on each
+    side of every hyperplane, the carrier is exactly the vertices inside its
+    hull mask, O(H V) integer operations at most, as a side that fills its
+    subcube needs no scan.
+
+    These imply that graph distance is Hamming distance, so each class cuts
+    the graph into two convex halfspaces.  Otherwise take u, v with graph
+    distance above Hamming distance at the least graph distance.  A geodesic
+    between them starts and ends with edges of one class h, and its interior
+    is a Hamming geodesic on one side of h; by (C) every interior vertex has
+    an h-neighbour, so minimality forces length 3: u and v differ in one bit
+    k and are not adjacent.  The chain of squares joining the two h-edges
+    walks from u to v on u's side of h; its first k-edge starts at a vertex
+    p on u's k-side.  The k-carrier on that side holds p and u's
+    h-neighbour, so its hull holds u, and by (C) u has a k-edge, whose far
+    end is v by (E) and (D): u and v are adjacent after all.
 
     A vertex's side of h is bit h of its coordinate, and nothing else
     stores it.  Each hyperplane keeps the hull mask of its carrier: as
@@ -122,38 +145,31 @@ class CubicalStructure:
         label = {root: 0}
         for u, v in tree:
             label[v] = label[u] ^ step[u, v]
-        flips = dict.fromkeys(c.vertices, 0)
         for e in c.edges:
             if label[e.src] ^ label[e.dst] != bit[e.eid]:
                 raise NotCat0Error(f"edge {e.eid} does not flip exactly its hyperplane")
-            flips[e.src] |= bit[e.eid]
-            flips[e.dst] |= bit[e.eid]
         self.coords: dict[str, int] = {v: label[v] for v in c.vertices}
-        cs = list(self.coords.values())
-        if len(set(cs)) != len(cs):
+        self._vertex = {x: v for v, x in self.coords.items()}
+        if len(self._vertex) != len(self.coords):
             raise NotCat0Error("two vertices share a coordinate")
-        for v, f in flips.items():
-            if [x & f for x in cs].count(self.coords[v] & f) != 1:
-                raise NotCat0Error(f"graph distance from {v} exceeds the Hamming distance")
+        cs = list(self._vertex)
         self._carriers = []  # (fixed, value) of each carrier's hull
         for hid, cls in enumerate(classes):
             ends = {self.coords[v] for e in map(c.edge, cls) for v in (e.src, e.dst)}
             for side in (1, 0):
                 carrier = [x for x in ends if x >> hid & 1 == side]
                 free = ~_hull_mask(carrier)[0]  # x is in the hull iff x | free == y | free
+                if len(carrier) == 1 << free.bit_count():
+                    continue  # the carrier fills its subcube, so it is its hull
                 if [x | free for x in cs].count(carrier[0] | free) != len(carrier):
                     raise NotCat0Error(f"carrier of hyperplane {hid} is not convex")
             self._carriers.append(_hull_mask(ends))
         self.hyperplanes = tuple(Hyperplane(hid, cls) for hid, cls in enumerate(classes))
-        self._edge_to_hid = {eid: h.hid for h in self.hyperplanes for eid in h.edges}
 
     # -- metric -------------------------------------------------------------
 
     def distance(self, u: str, v: str) -> int:
         return (self.coords[u] ^ self.coords[v]).bit_count()
-
-    def hyperplane_of(self, eid: str) -> Hyperplane:
-        return self.hyperplanes[self._edge_to_hid[eid]]
 
     def crosses(self, s) -> frozenset:
         """Hyperplane ids with vertices of s on both sides."""
@@ -161,12 +177,13 @@ class CubicalStructure:
         if not s:
             return frozenset()
         fixed, _ = _hull_mask(self.coords[v] for v in s)
-        return frozenset(h.hid for h in self.hyperplanes if not fixed >> h.hid & 1)
+        return frozenset(_bits(~fixed))
 
     def _disjoint(self) -> list[int]:
         """Per hyperplane, the mask of the hyperplanes it does not cross
-        (itself included)."""
-        return [fixed | 1 << hid for hid, (fixed, _) in enumerate(self._carriers)]
+        (itself included), as a nonnegative H-bit integer."""
+        full = (1 << len(self._carriers)) - 1
+        return [(fixed | 1 << hid) & full for hid, (fixed, _) in enumerate(self._carriers)]
 
     def crossing(self, h1: Hyperplane, h2: Hyperplane) -> bool:
         """Whether h2 cuts h1's carrier, so all four quadrants meet."""
@@ -187,27 +204,21 @@ class CubicalStructure:
     def is_convex(self, s) -> bool:
         return self.convex_hull(s) == frozenset(s)
 
-    def separators(self, y1, y2) -> frozenset:
-        """Hyperplane ids with y1 on one side and y2 on the other."""
-        (f1, v1), (f2, v2) = (_hull_mask(self.coords[v] for v in y) for y in (y1, y2))
-        sep = f1 & f2 & (v1 ^ v2)
-        return frozenset(h.hid for h in self.hyperplanes if sep >> h.hid & 1)
-
     def gates(self, y1, y2) -> GatePair:
+        """Convex sets of a median graph are gated: the gate of x in a convex
+        Y with hull mask (fixed, value) has coordinate x & ~fixed | value &
+        fixed (Chepoi 2000).  V1 is the gates of Y2 in Y1, each matched to
+        its own gate in Y2, and V2 is the matched vertices; the separators
+        are fixed by both masks to different values.  O(|Y1| + |Y2|) mask
+        operations after the O(V) convexity checks."""
         y1, y2 = frozenset(y1), frozenset(y2)
         if not self.is_convex(y1) or not self.is_convex(y2):
             raise ValueError("gates need convex inputs")
-        sep = self.separators(y1, y2)
-        delta = len(sep)
-        v1 = frozenset(v for v in y1 if min(self.distance(v, w) for w in y2) == delta)
-        v2 = frozenset(v for v in y2 if min(self.distance(v, w) for w in y1) == delta)
-        matching = {}
-        for v in sorted(v1):
-            partners = [w for w in sorted(v2) if self.distance(v, w) == delta]
-            if len(partners) != 1:
-                raise NotCat0Error(f"gate projection not unique at {v}")
-            matching[v] = partners[0]
-        return GatePair(v1, v2, sep, matching)
+        (f1, c1), (f2, c2) = (_hull_mask(self.coords[v] for v in y) for y in (y1, y2))
+        v1 = frozenset(self._vertex[self.coords[w] & ~f1 | c1 & f1] for w in y2)
+        matching = {v: self._vertex[self.coords[v] & ~f2 | c2 & f2] for v in sorted(v1)}
+        separators = frozenset(_bits(f1 & f2 & (c1 ^ c2)))
+        return GatePair(v1, frozenset(matching.values()), separators, matching)
 
     def check_gate_edge_duality(self, gp: GatePair):
         """Every hyperplane dual to an edge of V1 must meet V2 (and dually)."""
@@ -215,9 +226,9 @@ class CubicalStructure:
             fixed, _ = _hull_mask(self.coords[v] for v in other)
             for e in self.complex.edges:
                 if e.src in side and e.dst in side:
-                    h = self.hyperplane_of(e.eid)
-                    if fixed >> h.hid & 1:
-                        return False, (e.eid, h.hid)
+                    flip = self.coords[e.src] ^ self.coords[e.dst]
+                    if fixed & flip:
+                        return False, (e.eid, flip.bit_length() - 1)
         return True, None
 
     # -- parallel sets and products ------------------------------------------
@@ -247,33 +258,51 @@ class CubicalStructure:
         return ParallelDecomposition(y, tuple(copies), py, ortho)
 
     def product_decompose(self) -> ProductPartition:
-        """Finest hyperplane partition into pairwise-crossing classes."""
+        """Finest hyperplane partition into pairwise-crossing classes: the
+        components of the non-crossing relation, each grown from its least
+        hyperplane by a search whose frontier is the unvisited part of the
+        disjoint masks, O(H) mask operations."""
         disjoint = self._disjoint()
-        pairs = [(a, b) for a, b in combinations(range(len(disjoint)), 2) if disjoint[a] >> b & 1]
-        comps = graphs.components(range(len(disjoint)), pairs)
-        classes = sorted((frozenset(comp) for comp in comps), key=sorted)
-        base = min(self.complex.vertices)
-        factors = []
-        for cls in classes:
-            outer = sum(1 << h.hid for h in self.hyperplanes if h.hid not in cls)
-            fixed = self.coords[base] & outer
-            factors.append(
-                frozenset(v for v in self.complex.vertices if self.coords[v] & outer == fixed)
-            )
+        unvisited = (1 << len(disjoint)) - 1
+        base = self.coords[min(self.complex.vertices)]
+        classes, factors = [], []
+        while unvisited:
+            cls = frontier = unvisited & -unvisited
+            while frontier:
+                unvisited &= ~frontier
+                reached = 0
+                for h in _bits(frontier):
+                    reached |= disjoint[h]
+                frontier = reached & unvisited
+                cls |= frontier
+            classes.append(frozenset(_bits(cls)))
+            factors.append(frozenset(v for v, x in self.coords.items() if (x ^ base) & ~cls == 0))
         return ProductPartition(tuple(classes), tuple(factors))
 
     def has_facing_triple(self):
-        """Three pairwise-disjoint hyperplanes, none separating the other two:
-        each lies on one side of the other two, so the carriers of those two
-        have the same value bit there."""
+        """The first triple a < b < c of pairwise-disjoint hyperplanes none of
+        which separates the other two (True, (a, b, c)), or (False, None).
+
+        plus[x] masks the hyperplanes disjoint from x with carriers on x's
+        1-side.  Per disjoint pair a < b the valid c > b are one mask:
+        disjoint from both, on b's side of a and on a's side of b, with the
+        carriers of a and b on one side of c.  O(H^2) operations on H-bit
+        masks; budget 10 s at MAX_VERTICES."""
         disjoint = self._disjoint()
-        value = [v for _, v in self._carriers]
-        for a, b, c in combinations(range(len(disjoint)), 3):
-            if not disjoint[a] >> b & disjoint[a] >> c & disjoint[b] >> c & 1:
-                continue
-            separated = (value[b] ^ value[c]) >> a | (value[a] ^ value[c]) >> b | (value[a] ^ value[b]) >> c
-            if not separated & 1:
-                return True, (a, b, c)
+        n = len(disjoint)
+        value = [v for _, v in self._carriers]  # coordinates have H bits
+        # row c holds the sides of c's carrier; column x, read down, is plus[x]
+        rows = [f"{v & d & ~(1 << c):0{n}b}" for c, (v, d) in enumerate(zip(value, disjoint))]
+        plus = [int("".join(col)[::-1], 2) for col in zip(*rows)][::-1]
+        for a in range(n):
+            above = disjoint[a] >> a + 1 << a + 1
+            side = (above & ~plus[a], above & plus[a])
+            for b in _bits(above):
+                m = side[value[b] >> a & 1] & disjoint[b] & ~(value[a] ^ value[b])
+                m &= plus[b] if value[a] >> b & 1 else ~plus[b]
+                m >>= b + 1
+                if m:
+                    return True, (a, b, b + 1 + next(_bits(m)))
         return False, None
 
 
@@ -336,13 +365,6 @@ def parse_wallspace(text: str) -> Wallspace:
         return Wallspace(n, tuple(walls))
     except ValueError as exc:
         raise WallspaceParseError(str(exc)) from None
-
-
-def wallspace_text(w: Wallspace) -> str:
-    lines = [f"points {w.n_points}"]
-    for side in w.walls:
-        lines.append("wall " + "".join("1" if i in side else "0" for i in range(w.n_points)))
-    return "\n".join(lines) + "\n"
 
 
 # bounds the cost of each orientation, k flips of k(k-1)/2 side pairs each;

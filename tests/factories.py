@@ -1,5 +1,5 @@
 """Small complexes the tests build: paths, trees, grids and hypercube
-2-skeleta."""
+2-skeleta; and the wallspace file text."""
 
 from itertools import combinations
 
@@ -81,3 +81,11 @@ def hypercube_complex(k: int) -> CubeComplex:
                 )
             )
     return make_complex(vertices, edges, squares)
+
+
+def wallspace_text(w) -> str:
+    """The `points` and `wall` records that parse_wallspace reads back as w."""
+    lines = [f"points {w.n_points}"]
+    for side in w.walls:
+        lines.append("wall " + "".join("1" if i in side else "0" for i in range(w.n_points)))
+    return "\n".join(lines) + "\n"

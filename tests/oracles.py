@@ -6,13 +6,15 @@ every vertex link for folds, bigons and unfilled cliques; `union_find_split`
 cuts the 1-skeleton along each hyperplane by its own union-find (O(H E));
 `triple_loop_median` takes the split's coordinates, checks every pair
 distance by breadth-first search and closes the coordinates under the
-majority of every triple (O(V^3)); the hyperplane queries below read the
-split's frozenset sides; `rescanning_tietze_eliminate` rescans and
+majority of every triple (O(V^3)); `hamming_isometric` is the O(V^2) bit
+test on the split's coordinates; the hyperplane queries below read the
+split's frozenset sides, and `distance_gates` searches every pair of the two
+sets; `rescanning_tietze_eliminate` rescans and
 rewrites every relator at each elimination step; `brute_two_dimensional`
 walks every vertex triple of a defining graph, and `two_twos_plan` spells
 out the three-generator plan piece by piece.  The library's one-pass
 `vertex_links`, corner-screened `check_npc`, one-search `CubicalStructure`
-with its coordinate and carrier masks, indexed `_tietze_eliminate`,
+with its coordinate and carrier masks, gates by projection, indexed `_tietze_eliminate`,
 neighbour-set triangle scan and subgraph plans must agree with them.
 """
 
@@ -22,7 +24,7 @@ from cubartin import graphs
 from cubartin.coxeter import is_spherical_triangle
 from cubartin.cube_model import LinkComplex, NpcViolation, vertex_links
 from cubartin.defining_graph import Circle, ConstructionPlan, EvenEdge, OddEdge
-from cubartin.toolkit import _edge_classes
+from cubartin.toolkit import GatePair, _edge_classes
 from cubartin.words import free_reduce, invert
 
 
@@ -169,6 +171,22 @@ def triple_loop_median(c) -> bool:
     return True
 
 
+def hamming_isometric(c) -> bool:
+    """The split exists and no vertex v has another vertex agreeing with it
+    on every bit that v's edges flip.  As every edge flips one bit, this
+    holds iff graph distance is Hamming distance (induct on the latter)."""
+    split = union_find_split(c)
+    if split is None:
+        return False
+    coords, _ = split
+    flips = dict.fromkeys(c.vertices, 0)
+    for e in c.edges:
+        flips[e.src] |= coords[e.src] ^ coords[e.dst]
+        flips[e.dst] |= coords[e.src] ^ coords[e.dst]
+    cs = list(coords.values())
+    return all([x & f for x in cs].count(coords[v] & f) == 1 for v, f in flips.items())
+
+
 def halfspaces(c):
     """The (minus, plus) vertex sides of each hyperplane of the median
     complex c, from its union-find split."""
@@ -253,6 +271,31 @@ def brute_gate_edge_duality(c, v1, v2):
                 if not (other & plus and other & minus):
                     return False, (e.eid, hid)
     return True, None
+
+
+def distance_gates(c, y1, y2) -> GatePair:
+    """gates on the convex sets y1 and y2 of the median complex c by distance
+    search: the separators from the split's sides, V1 and V2 the vertices at
+    that many hyperplanes from the other set, and each vertex of V1 matched
+    to the one vertex of V2 at that distance (O(|Y1| |Y2|))."""
+    coords, split = union_find_split(c)
+    y1, y2 = frozenset(y1), frozenset(y2)
+    sep = frozenset(
+        h for h, (_, minus, plus) in enumerate(split)
+        if y1 <= minus and y2 <= plus or y1 <= plus and y2 <= minus
+    )
+
+    def dist(u, v):
+        return (coords[u] ^ coords[v]).bit_count()
+
+    v1 = frozenset(v for v in y1 if min(dist(v, w) for w in y2) == len(sep))
+    v2 = frozenset(v for v in y2 if min(dist(v, w) for w in y1) == len(sep))
+    matching = {}
+    for v in sorted(v1):
+        partners = [w for w in sorted(v2) if dist(v, w) == len(sep)]
+        assert len(partners) == 1, f"gate projection not unique at {v}"
+        matching[v] = partners[0]
+    return GatePair(v1, v2, sep, matching)
 
 
 def rescanning_tietze_eliminate(gens, relators, candidates):

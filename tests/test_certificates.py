@@ -17,7 +17,9 @@ from oracles import (
     brute_facing_triple,
     brute_gate_edge_duality,
     brute_product,
+    distance_gates,
     halfspace_hull,
+    hamming_isometric,
     link_walk_npc,
     rescan_vertex_link,
     triple_loop_median,
@@ -25,6 +27,7 @@ from oracles import (
 )
 
 from cubartin import constructions as cons
+from cubartin import graphs
 from cubartin import cube_model as cm
 from cubartin import defining_graph as dg
 from cubartin import toolkit as tk
@@ -179,6 +182,14 @@ def q3_minus_vertex(fill=True):
     return cube_subgraph(3, set(range(7)), lambda _: fill)
 
 
+def q3_minus_edge():
+    """Q3 without the edge c0-c1 and the two squares on it: Hamming distance
+    1 but graph distance 3 between c0 and c1."""
+    c = cube_subgraph(3, set(range(8)))
+    squares = [(sid, ts) for sid, ts in c.squares if ("e0.0", 1) not in ts and ("e0.0", -1) not in ts]
+    return make_complex(c.vertices, [e for e in c.edges if e.eid != "e0.0"], squares)
+
+
 def hexagon():
     return make_complex(
         [f"h{i}" for i in range(6)], [Edge(f"e{i}", f"h{i}", f"h{(i + 1) % 6}") for i in range(6)], []
@@ -262,6 +273,12 @@ class TestMedian:
             assert not median
             return
         assert median
+        # what the certificate's three checks imply (see its docstring)
+        assert hamming_isometric(c)
+        adj = graphs.adjacency(c.vertices, [(e.src, e.dst) for e in c.edges])
+        for u in c.vertices:
+            dist, _ = graphs.bfs(adj, u)
+            assert {v: s.distance(u, v) for v in c.vertices} == dist
         coords, hyperplanes = union_find_split(c)
         assert s.coords == coords
         assert [h.hid for h in s.hyperplanes] == list(range(len(hyperplanes)))
@@ -282,13 +299,17 @@ class TestMedian:
         gp = tk.GatePair(frozenset(v1), frozenset(v2), frozenset(), {})
         assert s.check_gate_edge_duality(gp) == brute_gate_edge_duality(c, v1, v2)
         y1, y2 = s.convex_hull(v1), s.convex_hull(v2)
-        assert s.check_gate_edge_duality(s.gates(y1, y2)) == (True, None)
+        gp = s.gates(y1, y2)
+        assert gp == distance_gates(c, y1, y2)
+        assert list(gp.matching) == sorted(gp.v1)
+        assert s.check_gate_edge_duality(gp) == (True, None)
 
     @pytest.mark.parametrize(
         "make, median",
         [
             (lambda: cube_subgraph(3, set(range(8))), True),
             (q3_minus_vertex, False),
+            (q3_minus_edge, False),
             (lambda: q3_minus_vertex(fill=False), False),
             (hexagon, False),
             (lambda: grid_complex(1, 2), True),  # a hexagon cut by one chord into two squares
@@ -300,6 +321,12 @@ class TestMedian:
         c = make()
         assert tk.is_median(c) is median
         assert triple_loop_median(c) is median
+
+    def test_graph_distance_above_hamming_is_a_nonconvex_carrier(self):
+        # the edge and distinctness checks pass; the carrier check refuses
+        with pytest.raises(tk.NotCat0Error, match=r"carrier of hyperplane \d+ is not convex"):
+            tk.CubicalStructure(q3_minus_edge())
+        assert not hamming_isometric(q3_minus_edge())
 
 
 class TestHull:

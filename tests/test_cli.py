@@ -295,7 +295,9 @@ class TestToolkit:
         assert not out_path.exists()
 
     def test_dual_past_the_vertex_bound_exits_2(self, capsys, tmp_path):
-        from cubartin.toolkit import Wallspace, wallspace_text
+        from factories import wallspace_text
+
+        from cubartin.toolkit import Wallspace
 
         # 12 pairwise-crossing walls: 2^12 consistent orientations
         walls = tmp_path / "walls.txt"

@@ -3,7 +3,7 @@ import tracemalloc
 from itertools import combinations, product
 
 import pytest
-from factories import grid_complex, hypercube_complex, path_complex, tree_complex
+from factories import grid_complex, hypercube_complex, path_complex, tree_complex, wallspace_text
 from oracles import brute_crossing, brute_facing_triple, halfspaces
 
 from cubartin import toolkit as tk
@@ -145,6 +145,16 @@ class TestGates:
         for v, w in gp.matching.items():
             assert s.distance(v, w) == gp.delta_sep
 
+    def test_halves_of_a_long_path_in_a_quarter_second(self):
+        # a search over the 10^6 pairs of the two halves takes 0.7-1 s
+        s = structure(path_complex(1999))
+        y1 = frozenset(f"p{i}" for i in range(1000))
+        start = time.perf_counter()
+        gp = s.gates(y1, frozenset(s.coords) - y1)
+        assert time.perf_counter() - start < 0.25
+        assert (gp.v1, gp.v2, gp.matching) == ({"p999"}, {"p1000"}, {"p999": "p1000"})
+        assert [s.hyperplanes[h].edges for h in gp.separators] == [{"e999"}]
+
     def test_non_convex_rejected(self):
         s = structure(grid_complex(1, 1))
         with pytest.raises(ValueError, match="convex"):
@@ -260,6 +270,12 @@ class TestFacingTriple:
     def test_cube_false(self):
         assert structure(hypercube_complex(3)).has_facing_triple() == (False, None)
 
+    def test_path_of_400_edges_in_under_two_seconds(self):
+        s = structure(path_complex(400))
+        start = time.perf_counter()
+        assert s.has_facing_triple() == (False, None)
+        assert time.perf_counter() - start < 2
+
     def test_matches_exhaustive_search(self, rng):
         for _ in range(20):
             walls = _random_wallspace(rng, max_points=6, max_walls=6)
@@ -294,7 +310,7 @@ class TestWallspace:
         w = tk.parse_wallspace("points 4\nwall 0011\nwall 0101\n")
         assert w.n_points == 4
         assert len(w.walls) == 2
-        assert tk.parse_wallspace(tk.wallspace_text(w)).walls == w.walls
+        assert tk.parse_wallspace(wallspace_text(w)).walls == w.walls
 
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError, match="empty side"):
