@@ -24,7 +24,6 @@ from .cube_model import (
     ComplexParseError,
     Edge,
     Presentation,
-    check_local_convexity,
     check_npc,
     complex_text,
     euler_characteristic,

@@ -25,7 +25,7 @@ from .words import Word, cyclic_reduce, free_reduce, invert
 Traversal = tuple[str, int]  # (edge id, +1 forward / -1 backward)
 
 # A complex with more Salvetti cubes is refused.  K_n has a cube per clique
-# of size >= 3, and K_12 (4017 cubes) builds in about 1 s at 54 MB
+# of size >= 3, and K_12 (4017 cubes) builds in about 0.3 s at 21 MB
 MAX_CUBES = 4096
 
 
@@ -291,13 +291,19 @@ def check_npc(c: CubeComplex) -> list[NpcViolation]:
 
 
 def _corner_screen(c: CubeComplex) -> set[str]:
-    """The vertices whose link has a folded corner, a repeated corner or a
-    triangle, from one pass over the square corners in integer codes.
+    """The vertices whose link has a folded corner, a repeated corner, an
+    unfilled triangle or an unfilled clique of four or more base loops, from
+    one pass over the square corners in integer codes.
 
     End (e, +1) of the i-th edge is 2i and (e, -1) is 2i + 1.  Every end lies
     at one vertex, so the links together form one graph on the codes, and a
     triangle of it is a triangle of one link: a shared neighbour of the two
-    ends of a corner (Chiba and Nishizeki, SIAM J. Comput. 14, 1985)."""
+    ends of a corner (Chiba and Nishizeki, SIAM J. Comput. 14, 1985).  A
+    triangle on three distinct edges that is one of its vertex's filled
+    triangles (`_filled_triangles`) cannot fail, and neither can a larger
+    clique all of whose triangles are filled unless it sits at the Salvetti
+    base: each of its triangles but those through one z-end is a corner of
+    a 3-cube, so its edges are base loops, pairwise joined in the link."""
     code = {}
     for i, e in enumerate(c.edges):
         code[e.eid, 1], code[e.eid, -1] = 2 * i, 2 * i + 1
@@ -318,11 +324,51 @@ def _corner_screen(c: CubeComplex) -> set[str]:
             else:
                 adj[p].add(q)
                 adj[q].add(p)
+    filled = None  # built at the first triangle, so 2-complexes never pay
     for p, ns in enumerate(adj):
         for q in ns:
             if q > p and not ns.isdisjoint(adj[q]):
-                flagged.add(vertex(p))
+                if filled is None:
+                    filled = _filled_triangles(c, code, vertex)
+                if any(r > q and (p, q, r) not in filled for r in ns & adj[q]):
+                    flagged.add(vertex(p))
+                    break
+    base = c.base_vertex
+    # a clique of four or more base loops passes only if its triangles do
+    if filled and base is not None and base not in flagged:
+        loops = {i for i, e in enumerate(c.edges) if e.src == e.dst == base}
+        pairs = [
+            (i, q >> 1) for i in loops for q in adj[2 * i] | adj[2 * i + 1] if q >> 1 in loops
+        ]
+        for clique in graphs.cliques(sorted(loops), pairs):
+            if len(clique) > 3 and frozenset(c.edges[i].eid for i in clique) not in c.salvetti_cubes:
+                flagged.add(base)
+                break
     return flagged
+
+
+def _filled_triangles(c: CubeComplex, code, vertex) -> set[tuple[int, int, int]]:
+    """The filled link triangles on three distinct edges, as sorted code
+    triples: the signed corners of the 3-cubes at the Salvetti base, and the
+    simplices (p, q, z+) and (p, q, z-) at each corner (p, q) of a prism,
+    where z is the z-loop at the corner's vertex.  These are the triangles
+    that `vertex_links` records."""
+    filled = set()
+    for cube in c.salvetti_cubes:
+        if len(cube) == 3:
+            for corner in product(*((code[e, 1], code[e, -1]) for e in cube)):
+                filled.add(tuple(sorted(corner)))
+    zmap = dict(c.zloops)
+    smap = dict(c.squares)
+    for sid in c.prisms:
+        w, x, y, z = map(code.__getitem__, smap[sid])
+        for p, q in ((w ^ 1, x), (x ^ 1, y), (y ^ 1, z), (z ^ 1, w)):
+            zcode = code[zmap[vertex(p)], 1]
+            for end in (zcode, zcode + 1):
+                corner = (p, q, end)
+                if len({t >> 1 for t in corner}) == 3:
+                    filled.add(tuple(sorted(corner)))
+    return filled
 
 
 def euler_characteristic(c: CubeComplex) -> int:
@@ -386,11 +432,86 @@ def _tietze_eliminate(gens, relators, candidates):
 
     Each step takes the least candidate, in sorted order, that occurs once in
     some relator, solves for it in the first such relator, drops that relator
-    and substitutes the value into the relators that hold the candidate.  An
-    index from each candidate to its relators keeps a step to them, each
-    relator's candidate counts are a dict updated in place, and each relator
-    is kept with its inverse, so that rotating, inverting and splicing are
-    tuple slices."""
+    and substitutes the value into the relators that hold the candidate.  A
+    step touches only relators joined to each other by shared candidates, so
+    each component of that relation is eliminated on its own and the
+    surviving relators keep their order.  A disc component, in which every
+    candidate occurs once in each of two relators and the gluing is a tree,
+    is read off by one walk (`_disc_word`); the others go through
+    `_eliminate_steps`."""
+    occurrences = {}  # candidate -> [(relator, position)]
+    for i, r in enumerate(relators):
+        for j, (g, _) in enumerate(r):
+            if g in candidates:
+                occurrences.setdefault(g, []).append((i, j))
+    parts = graphs.components((), ((occ[0][0], i) for occ in occurrences.values() for i, _ in occ))
+    held = {}  # each candidate under the relator of its first occurrence
+    for g, occ in occurrences.items():
+        held.setdefault(occ[0][0], []).append(g)
+    words = list(relators)
+    eliminated = set()
+    steps, step_letters = [], set()  # the components that are not discs
+    for part in parts:
+        letters = [g for i in part for g in held.get(i, ())]
+        # joined by len(part) - 1 candidates, each in two places, the part is
+        # a tree, so no candidate can occur twice in one relator
+        if len(letters) == len(part) - 1 and all(len(occurrences[g]) == 2 for g in letters):
+            root = max(part)
+            for i in part:
+                words[i] = None
+            words[root] = _disc_word(relators, root, occurrences)
+            eliminated.update(letters)
+        else:
+            steps.extend(part)
+            step_letters.update(letters)
+    if steps:
+        steps.sort()
+        gone, survivors = _eliminate_steps([relators[i] for i in steps], step_letters)
+        eliminated |= gone
+        for i in steps:
+            words[i] = None
+        for k, w in survivors:
+            words[steps[k]] = w
+    return [g for g in gens if g not in eliminated], [w for w in words if w is not None]
+
+
+def _disc_word(relators, root, occurrences):
+    """The one relator left of a disc component: relator root with each
+    candidate x^e replaced by the rest of its partner relator, read around
+    from the partner's occurrence of x, forward when that is x^-e and
+    inverted when it is x^e, and freely reduced as it is written.  Every
+    relator is entered once, from its parent in the tree rooted at root, so
+    the walk is linear in the letters; a stack of (relator, next position,
+    step, letters left) frames keeps it iterative."""
+    out = []
+    stack = [(root, 0, 1, len(relators[root]))]
+    while stack:
+        i, j, step, left = stack.pop()
+        r = relators[i]
+        while left:
+            g, e = r[j]
+            e *= step
+            j, left = (j + step) % len(r), left - 1
+            if g in occurrences:
+                stack.append((i, j, step, left))
+                a, b = occurrences[g]
+                i, j = b if a[0] == i else a
+                r = relators[i]
+                step = 1 if r[j][1] != e else -1
+                j, left = (j + step) % len(r), len(r) - 1
+            elif out and out[-1][0] == g and out[-1][1] == -e:
+                out.pop()
+            else:
+                out.append((g, e))
+    return tuple(out)
+
+
+def _eliminate_steps(relators, candidates):
+    """The eliminated candidates and the (index, word) of each surviving
+    relator, one step at a time.  An index from each candidate to its
+    relators keeps a step to them, each relator's candidate counts are a dict
+    updated in place, and each relator is kept with its inverse, so that
+    rotating, inverting and splicing are tuple slices."""
     words = [(r, invert(r)) for r in relators]
     held = []  # per relator, how often each candidate occurs in it
     for r in relators:
@@ -451,8 +572,7 @@ def _tietze_eliminate(gens, relators, candidates):
                 if c == 1:
                     heappush(ready, y)
             words[k] = acc
-    eliminated = set(candidates) - holders.keys()
-    return [g for g in gens if g not in eliminated], [w for w, _ in filter(None, words)]
+    return set(candidates) - holders.keys(), [(i, w[0]) for i, w in enumerate(words) if w]
 
 
 def _positions(w: Word, x: str, count: int) -> list[int]:
@@ -477,31 +597,6 @@ def _join(u, v):
     while k < la and k < lb and a[la - 1 - k] == binv[lb - 1 - k]:
         k += 1
     return (a[:la - k] + b[k:], binv[:lb - k] + ainv[k:]), a[la - k:]
-
-
-# -- local convexity ------------------------------------------------------
-
-def check_local_convexity(c: CubeComplex, circle) -> bool:
-    """A closed edge path is locally convex when, at each of its vertices, the
-    incoming and outgoing link ends are distinct and not joined by a corner."""
-    path = [tuple(t) for t in circle]
-    if not path:
-        raise ValueError("empty path")
-    if len({t[0] for t in path}) != len(path):
-        raise ValueError("path repeats an edge")
-    for i in range(len(path)):
-        if c.head(path[i]) != c.tail(path[(i + 1) % len(path)]):
-            raise ValueError("path not closed")
-    links = vertex_links(c)
-    for i in range(len(path)):
-        cur, nxt = path[i], path[(i + 1) % len(path)]
-        p, q = c.in_end(cur), nxt
-        if p == q:
-            return False
-        link = links[c.head(cur)]
-        if any(pair == frozenset((p, q)) for _, pair in link.link_edges):
-            return False
-    return True
 
 
 # -- serialization --------------------------------------------------------

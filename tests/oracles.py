@@ -14,8 +14,10 @@ rewrites every relator at each elimination step; `brute_two_dimensional`
 walks every vertex triple of a defining graph, and `two_twos_plan` spells
 out the three-generator plan piece by piece.  The library's one-pass
 `vertex_links`, corner-screened `check_npc`, one-search `CubicalStructure`
-with its coordinate and carrier masks, gates by projection, indexed `_tietze_eliminate`,
-neighbour-set triangle scan and subgraph plans must agree with them.
+with its coordinate and carrier masks, gates by projection, disc-walking
+and indexed `_tietze_eliminate`, neighbour-set triangle scan and subgraph
+plans must agree with them.  `check_local_convexity`, which the library
+does not use, tests the circles along which the constructions glue.
 """
 
 from itertools import combinations, product
@@ -120,6 +122,29 @@ def link_walk_npc(c):
                         NpcViolation(v, "non-flag", f"empty {len(clique)}-clique {sorted(clique)}")
                     )
     return violations
+
+
+def check_local_convexity(c, circle) -> bool:
+    """A closed edge path is locally convex when, at each of its vertices, the
+    incoming and outgoing link ends are distinct and not joined by a corner."""
+    path = [tuple(t) for t in circle]
+    if not path:
+        raise ValueError("empty path")
+    if len({t[0] for t in path}) != len(path):
+        raise ValueError("path repeats an edge")
+    for i in range(len(path)):
+        if c.head(path[i]) != c.tail(path[(i + 1) % len(path)]):
+            raise ValueError("path not closed")
+    links = vertex_links(c)
+    for i in range(len(path)):
+        cur, nxt = path[i], path[(i + 1) % len(path)]
+        p, q = c.in_end(cur), nxt
+        if p == q:
+            return False
+        link = links[c.head(cur)]
+        if any(pair == frozenset((p, q)) for _, pair in link.link_edges):
+            return False
+    return True
 
 
 def union_find_split(c):

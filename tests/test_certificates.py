@@ -123,6 +123,10 @@ def without_prism(c, sid):
     return replace(c, prisms=tuple(p for p in c.prisms if p != sid))
 
 
+def add_square(c, square):
+    return replace(c, squares=c.squares + (square,))
+
+
 def without_cube(c, cube):
     """c without a Salvetti cube and the cubes above it, so that the rest
     stays closed under subsets."""
@@ -255,6 +259,70 @@ class TestNpc:
         c = cons.build_from_plan(dg.verdict(dg.parse_graph("vertex a\nvertex b\nedge a b 401\n")).plan)
         assert cm.check_npc(c) == []
         assert not hasattr(c, "_links_cache")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "".join(f"vertex c{i}\n" for i in range(12))
+            + "".join(f"edge c{i} c{j} 2\n" for i, j in combinations(range(12), 2)),
+            "vertex c\nvertex u\nvertex v\nedge c u 2\nedge c v 2\nedge u v 101\n",
+            "vertex a\nvertex b\nvertex c\nvertex d\nvertex e\n"
+            "edge a b 2\nedge b c 2\nedge a c 2\nedge a d 4\nedge c e 6\n",
+        ],
+        ids=["K12", "times-circle-101", "salvetti-with-leaves"],
+    )
+    def test_filled_corners_walk_no_link(self, text):
+        # the 3-cube corners at a Salvetti base (3^12 signed cliques on K12)
+        # and the prism simplices of a product are filled triangles
+        c = cons.build_from_plan(dg.verdict(dg.parse_graph(text)).plan)
+        assert cm.check_npc(c) == []
+        assert not hasattr(c, "_links_cache")
+        assert link_walk_npc(c) == []
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # every 3-cube of K4 is kept, so each link triangle is filled, but
+            # the signed 4-cliques are not
+            lambda: replace(k4_salvetti(), salvetti_cubes=k4_salvetti().salvetti_cubes - {frozenset("abcd")}),
+            # the square on a and b spells a a b b: its corners give only the
+            # sign pairs (a-, b+) and (b-, a+), and join the two ends of a
+            lambda: replace(
+                cons.build_salvetti(dg.parse_graph("vertex a\nvertex b\nvertex c\nedge a b 2\nedge b c 2\nedge a c 2\n")),
+                squares=(
+                    ("sq.a.b", (("a", 1), ("a", 1), ("b", 1), ("b", 1))),
+                    ("sq.a.c", (("a", 1), ("c", 1), ("a", -1), ("c", -1))),
+                    ("sq.b.c", (("b", 1), ("c", 1), ("b", -1), ("c", -1))),
+                ),
+            ),
+            # a leaf chain wedged at the base whose x loop also commutes with
+            # b: the link triangle on a, x and b is empty
+            lambda: add_square(
+                cons.build_for_graph(dg.parse_graph("vertex a\nvertex b\nvertex c\nvertex d\n"
+                                                    "edge a b 2\nedge b c 2\nedge a c 2\nedge a d 4\n")),
+                ("bad", (("a.d.x", 1), ("b", 1), ("a.d.x", -1), ("b", -1))),
+            ),
+            # a prism over a square on z itself, and a square z z b b that
+            # joins the two ends of z: its simplices (a-, z+, z-) and
+            # (a+, z-, z+) are cliques that reuse z
+            lambda: make_complex(
+                ["v"],
+                [Edge(x, "v", "v") for x in "abz"],
+                [
+                    ("s", (("a", 1), ("z", 1), ("a", -1), ("z", -1))),
+                    ("t", (("z", 1), ("z", 1), ("b", 1), ("b", 1))),
+                ],
+                prisms=["s"],
+                zloops=[("v", "z")],
+            ),
+        ],
+        ids=["K4-without-4-cube", "non-commutator-square", "leaf-chain-at-base", "prism-on-its-z-loop"],
+    )
+    def test_filled_corner_failures(self, make):
+        c = make()
+        violations = cm.check_npc(c)
+        assert violations
+        assert violations == link_walk_npc(c)
 
 
 class TestMedian:

@@ -3,6 +3,7 @@
 order, on random relator lists and on the presentations of every plan shape
 and of foreign complexes."""
 
+import time
 from itertools import combinations
 from unittest import mock
 
@@ -153,3 +154,58 @@ def foreign_complexes(draw):
 def test_foreign_complexes_match_rescanning(case):
     new, old = extracted_both_ways(*case)
     assert new == old
+
+
+@st.composite
+def disc_gluings(draw):
+    """A disc component beside one that is not: a tree of 2-40 random
+    reduced relators glued along fresh candidates x<i>, each inserted once
+    into each of its two relators; relators over the same letters in which
+    the candidate y occurs twice in one relator; a candidate that occurs
+    nowhere; all in a random order."""
+    word = st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from((1, -1))), max_size=6)
+    sign = st.sampled_from((1, -1))
+    k = draw(st.integers(2, 40))
+    disc = [list(free_reduce(tuple(draw(word)))) for _ in range(k)]
+    for i in range(1, k):
+        for r in (disc[i], disc[draw(st.integers(0, i - 1))]):
+            r.insert(draw(st.integers(0, len(r))), (f"x{i}", draw(sign)))
+    other = [(("y", draw(sign)), ("a", 1), ("y", draw(sign)))]
+    other += [free_reduce(tuple(w)) for w in draw(st.lists(st.lists(
+        st.tuples(st.sampled_from("abyz"), sign), max_size=6), max_size=4))]
+    relators = draw(st.permutations([tuple(r) for r in disc] + other))
+    gens = ["a", "b", "c", "d", "w", "y", "z"] + [f"x{i}" for i in range(1, k)]
+    return gens, relators, set(gens[4:]) | {"y"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(disc_gluings())
+def test_disc_gluings_match_rescanning(case):
+    new, old = both(*case)
+    assert new == old
+
+
+def cyclic_word(w):
+    """w as ASCII, with its inverse, for a cyclic substring test."""
+    return "".join(g if e == 1 else g.upper() for g, e in w)
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (lambda: cons.build_K_odd(12801), "ab" * 6400 + "a" + "BA" * 6400 + "B"),
+        (lambda: cons.build_K_even(12800, "a"), "a" + "x" * 6400 + "A" + "X" * 6400),
+    ],
+    ids=["odd-12801", "even-12800"],
+)
+def test_long_chains_extract_in_a_second(make, expected):
+    # eliminating the chain edges one step at a time, in sorted id order,
+    # took 2-4 s here and grew about 3.4x per doubling of the label
+    c = make()
+    start = time.perf_counter()
+    p = cons.extracted_presentation(c)
+    assert time.perf_counter() - start < 1
+    (relator,) = p.relators
+    word = cyclic_word(relator)
+    inverse = word[::-1].swapcase()
+    assert len(word) == len(expected) and (expected in word * 2 or expected in inverse * 2)
