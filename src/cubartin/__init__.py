@@ -54,8 +54,6 @@ from .artin_algebra import (
     build_phi,
     commutator_membership,
     even_rewrite,
-    positive_equal,
-    subgroup_presentation,
 )
 from .snf import smith_normal_form
 

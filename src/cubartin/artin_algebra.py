@@ -9,9 +9,9 @@ q = ba = s^-1 r t^-1); and the three-generator groups with labels
 (m_ab, m_bc, m_ac) = (3, 2, m), m in {3, 4, 5}, whose Coxeter groups are
 A3, B3 and H3 of order 24 / 48 / 120.
 
-Equality is decided by Garside normal forms; an independent bounded BFS
-over length-preserving positive rewritings, the same braid-move closure
-that names Coxeter elements, serves as the oracle.  Lemma instances about
+Equality is decided by Garside normal forms; the tests check them against
+a bounded BFS over length-preserving positive rewritings, the same
+braid-move closure that names Coxeter elements.  Lemma instances about
 centers and subgroup intersections are checked at explicit bounds and
 reported as bounded verification, never as proofs.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .coxeter import CoxeterTable, braid_closure
+from .coxeter import CoxeterTable
 from .garside import GarsideContext, GarsideElement
 from .snf import in_row_span
 from .cube_model import Presentation
@@ -170,54 +170,6 @@ def psi_word(n: int) -> Word:
     return free_reduce(concat(phi, bar))
 
 
-def subgroup_presentation(p: Presentation, sign: dict) -> Presentation:
-    """Reidemeister-Schreier for the kernel of a map onto Z/2.
-
-    Schreier transversal {1, x0} with x0 the first generator of sign 1;
-    Schreier generators are named g_0 (coset 1) and g_1 (coset x0), minus
-    the trivial one x0_0.
-    """
-    if not any(sign.get(g, 0) % 2 for g in p.generators):
-        raise ValueError("sign map is trivial")
-    x0 = next(g for g in p.generators if sign.get(g, 0) % 2)
-
-    def name(coset: int, g: str) -> str | None:
-        if coset == 0 and g == x0:
-            return None  # x0 * rep(x0)^-1 is trivial
-        return f"{g}_{coset}"
-
-    gens = []
-    for g in p.generators:
-        for coset in (0, 1):
-            nm = name(coset, g)
-            if nm is not None:
-                gens.append(nm)
-
-    def rewrite(rel: Word, coset: int) -> Word:
-        out = []
-        for g, e in rel:
-            sg = sign.get(g, 0) % 2
-            if e == 1:
-                nm = name(coset, g)
-                if nm is not None:
-                    out.append((nm, 1))
-                coset ^= sg
-            else:
-                coset ^= sg
-                nm = name(coset, g)
-                if nm is not None:
-                    out.append((nm, -1))
-        return free_reduce(tuple(out))
-
-    relators = []
-    for rel in p.relators:
-        for coset in (0, 1):
-            w = rewrite(rel, coset)
-            if w:
-                relators.append(w)
-    return Presentation(tuple(gens), tuple(relators))
-
-
 def aprime_presentation(n: int) -> Presentation:
     """Presentation of A'_n on exactly {r, s, t}: rewrite the Artin relator
     and its a-conjugate through the even-word table."""
@@ -240,25 +192,6 @@ def commutator_membership(p: Presentation, w: Word) -> bool:
             raise ValueError(f"unknown generator {g!r}")
         vec[index[g]] += e
     return in_row_span(p.exponent_matrix(), vec)
-
-
-# -- positive-word oracle ----------------------------------------------------
-
-def positive_equal(ctx, w1: Word, w2: Word) -> bool:
-    """Equality of positive words by BFS closure under the defining relations
-    (homogeneous, so length-preserving and terminating)."""
-    for w in (w1, w2):
-        if any(e != 1 for _, e in w):
-            raise ValueError("positive_equal needs positive words")
-    if len(w1) != len(w2):
-        return False
-    s1 = tuple(g for g, _ in w1)
-    s2 = tuple(g for g, _ in w2)
-    return s2 in positive_class(ctx, s1)
-
-
-def positive_class(ctx: ArtinContext, letters: tuple) -> set:
-    return braid_closure(letters, ctx.table.moves)
 
 
 # -- lemma instance checks -----------------------------------------------------

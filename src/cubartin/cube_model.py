@@ -68,18 +68,6 @@ class CubeComplex:
             object.__setattr__(self, "_edge_map_cache", m)
         return m
 
-    def tail(self, t: Traversal) -> str:
-        e = self.edge(t[0])
-        return e.src if t[1] == 1 else e.dst
-
-    def head(self, t: Traversal) -> str:
-        e = self.edge(t[0])
-        return e.dst if t[1] == 1 else e.src
-
-    def in_end(self, t: Traversal) -> Traversal:
-        """The end of the traversed edge at its finishing vertex."""
-        return (t[0], -t[1])
-
 
 def _validate(c: CubeComplex) -> None:
     vset = set(c.vertices)
@@ -171,49 +159,32 @@ def make_complex(
 
 @dataclass(frozen=True)
 class LinkComplex:
+    """A vertex link's ends and corners.  Its filled simplices are not kept:
+    `_filled_triangles` states which triangles are filled."""
+
     base: str
     link_vertices: tuple[Traversal, ...]
     link_edges: tuple[tuple[str, frozenset], ...]  # (owning cell id, end pair)
-    link_triangles: tuple[frozenset, ...]
 
 
 def vertex_links(c: CubeComplex) -> dict[str, LinkComplex]:
-    """Every vertex link, from one pass over the edges, squares, Salvetti
-    cubes and prisms; memoised on the complex like its edge map."""
+    """Every vertex link, from one pass over the edges and squares;
+    memoised on the complex like its edge map."""
     links = getattr(c, "_links_cache", None)
     if links is not None:
         return links
-    ends, corners, triangles = ({v: [] for v in c.vertices} for _ in range(3))
+    ends, corners = ({v: [] for v in c.vertices} for _ in range(2))
     for e in c.edges:
         ends[e.src].append((e.eid, 1))
         ends[e.dst].append((e.eid, -1))
     emap = c._edge_map
-
-    def square_corners(ts):
-        """(vertex, incoming end, outgoing end) at each corner of a square."""
+    # the corner after a side joins the side's incoming end to the next
+    # side's outgoing end, at the side's head
+    for sid, ts in c.squares:
         for (e, d), nxt in zip(ts, ts[1:] + ts[:1]):
             edge = emap[e]
-            yield edge.dst if d == 1 else edge.src, (e, -d), nxt
-
-    for sid, ts in c.squares:
-        for w, p, q in square_corners(ts):
-            corners[w].append((sid, frozenset((p, q))))
-    # a link triangle spans three commuting loops, so it is a corner of their
-    # 3-cube, which the cubes hold as they are closed under subsets
-    for labels in sorted(sorted(cube) for cube in c.salvetti_cubes if len(cube) == 3):
-        for signs in product((1, -1), repeat=3):
-            triangles[c.base_vertex].append(frozenset(zip(labels, signs)))
-    zmap = dict(c.zloops)
-    smap = dict(c.squares)
-    for sid in c.prisms:
-        for w, p, q in square_corners(smap[sid]):
-            z = zmap[w]
-            triangles[w].append(frozenset((p, q, (z, 1))))
-            triangles[w].append(frozenset((p, q, (z, -1))))
-    links = {
-        v: LinkComplex(v, tuple(sorted(ends[v])), tuple(corners[v]), tuple(dict.fromkeys(tris)))
-        for v, tris in triangles.items()
-    }
+            corners[edge.dst if d == 1 else edge.src].append((sid, frozenset(((e, -d), nxt))))
+    links = {v: LinkComplex(v, tuple(sorted(ends[v])), tuple(corners[v])) for v in c.vertices}
     object.__setattr__(c, "_links_cache", links)
     return links
 
@@ -237,73 +208,41 @@ class NpcViolation:
 def check_npc(c: CubeComplex) -> list[NpcViolation]:
     """Gromov link criterion: every vertex link simple and flag.
 
-    Empty list means nonpositively curved.  For 2-dimensional complexes the
-    flag condition is the absence of triangles in the link graph.  Only the
-    vertices that `_corner_screen` flags can fail, so only their links are
-    walked, and a complex with none flagged builds no links at all.
+    Empty list means nonpositively curved.  Otherwise it holds one witness
+    per failing vertex, in vertex order: the first violation that a walk of
+    the vertex's link meets, through its corners in square order for folds
+    and repeats, then through its cliques by size and, within a size, in
+    sorted-end order.  For 2-dimensional complexes the flag condition is the
+    absence of triangles in the link graph.  `_corner_screen` finds every
+    witness without building a link.
     """
-    flagged = _corner_screen(c)
-    violations = []
-    if not flagged:
-        return violations
-    for v, link in vertex_links(c).items():
-        if v not in flagged:
-            continue
-        seen: set[frozenset] = set()
-        simple = True
-        for cell, pair in link.link_edges:
-            if len(pair) == 1:
-                violations.append(
-                    NpcViolation(v, "loop", f"cell {cell} folds the end {next(iter(pair))}")
-                )
-                simple = False
-            elif pair in seen:
-                p, q = sorted(pair)
-                violations.append(
-                    NpcViolation(v, "bigon", f"repeated link edge {p}-{q} (cell {cell})")
-                )
-                simple = False
-            else:
-                seen.add(pair)
-        if not simple:
-            continue
-        simplices = set(link.link_triangles)
-        pairs = [tuple(pair) for _, pair in link.link_edges]
-        for clique in graphs.cliques(link.link_vertices, pairs):
-            labels = frozenset(e for e, _ in clique)
-            if len(labels) != len(clique):
-                violations.append(
-                    NpcViolation(v, "non-flag", f"clique reuses an edge: {sorted(clique)}")
-                )
-                continue
-            if len(clique) == 3:
-                if frozenset(clique) not in simplices:
-                    violations.append(
-                        NpcViolation(v, "non-flag", f"empty triangle {sorted(clique)}")
-                    )
-            else:
-                # only salvetti cubes span simplices of dimension >= 3
-                if v != c.base_vertex or labels not in c.salvetti_cubes:
-                    violations.append(
-                        NpcViolation(v, "non-flag", f"empty {len(clique)}-clique {sorted(clique)}")
-                    )
-    return violations
+    witness = _corner_screen(c)
+    return [witness[v] for v in c.vertices if v in witness]
 
 
-def _corner_screen(c: CubeComplex) -> set[str]:
-    """The vertices whose link has a folded corner, a repeated corner, an
-    unfilled triangle or an unfilled clique of four or more base loops, from
-    one pass over the square corners in integer codes.
+def _corner_screen(c: CubeComplex) -> dict[str, NpcViolation]:
+    """The first violation at each vertex whose link fails, from one pass
+    over the square corners in integer codes.
 
     End (e, +1) of the i-th edge is 2i and (e, -1) is 2i + 1.  Every end lies
-    at one vertex, so the links together form one graph on the codes, and a
-    triangle of it is a triangle of one link: a shared neighbour of the two
-    ends of a corner (Chiba and Nishizeki, SIAM J. Comput. 14, 1985).  A
-    triangle on three distinct edges that is one of its vertex's filled
-    triangles (`_filled_triangles`) cannot fail, and neither can a larger
-    clique all of whose triangles are filled unless it sits at the Salvetti
-    base: each of its triangles but those through one z-end is a corner of
-    a 3-cube, so its edges are base loops, pairwise joined in the link."""
+    at one vertex, so the links together form one graph on the codes.  The
+    pass meets each vertex's corners in square order, so its first folded or
+    repeated corner is the walk's first violation there.  A triangle of the
+    graph is a triangle of one link: a shared neighbour of the two ends of a
+    corner (Chiba and Nishizeki, SIAM J. Comput. 14, 1985).  At a simple
+    link the walk meets the triangles first, so the witness is the least
+    triangle, in sorted-end order, that reuses an edge or is not one of the
+    filled triangles (`_filled_triangles`).
+
+    A larger clique all of whose triangles are filled can fail only at the
+    Salvetti base: each of its triangles but those through one z-end is a
+    corner of a 3-cube, so its edges are base loops, pairwise joined in the
+    link.  The base is therefore screened by the sets of four or more base
+    loops pairwise joined in the link that are not cubes, 2^n label cliques
+    on K_n.  Such a set need not span a clique of the link, as the signs of
+    its joins need not agree, so only then are the cliques of the base
+    loops' ends walked, up to the first of four or more ends whose edges
+    are not a cube."""
     code = {}
     for i, e in enumerate(c.edges):
         code[e.eid, 1], code[e.eid, -1] = 2 * i, 2 * i + 1
@@ -312,47 +251,71 @@ def _corner_screen(c: CubeComplex) -> set[str]:
         e = c.edges[p >> 1]
         return e.dst if p & 1 else e.src
 
+    def end(p):
+        return c.edges[p >> 1].eid, -1 if p & 1 else 1
+
+    witness = {}
+
+    def fail(v, kind, detail):
+        witness.setdefault(v, NpcViolation(v, kind, detail))
+
     adj = [set() for _ in range(2 * len(c.edges))]
-    flagged = set()
-    for _, ts in c.squares:
+    for sid, ts in c.squares:
         w, x, y, z = map(code.__getitem__, ts)
         # the corner after a side joins the side's incoming end (its code
         # with the low bit flipped) to the next side's outgoing end
         for p, q in ((w ^ 1, x), (x ^ 1, y), (y ^ 1, z), (z ^ 1, w)):
-            if p == q or q in adj[p]:
-                flagged.add(vertex(p))
+            if p == q:
+                fail(vertex(p), "loop", f"cell {sid} folds the end {end(p)}")
+            elif q in adj[p]:
+                a, b = sorted((end(p), end(q)))
+                fail(vertex(p), "bigon", f"repeated link edge {a}-{b} (cell {sid})")
             else:
                 adj[p].add(q)
                 adj[q].add(p)
     filled = None  # built at the first triangle, so 2-complexes never pay
+    least = {}  # per vertex, its least unfilled triangle as sorted ends
     for p, ns in enumerate(adj):
         for q in ns:
             if q > p and not ns.isdisjoint(adj[q]):
                 if filled is None:
                     filled = _filled_triangles(c, code, vertex)
-                if any(r > q and (p, q, r) not in filled for r in ns & adj[q]):
-                    flagged.add(vertex(p))
-                    break
+                for r in ns & adj[q]:
+                    if r > q and (p, q, r) not in filled:
+                        v, corner = vertex(p), sorted(map(end, (p, q, r)))
+                        if v not in least or corner < least[v]:
+                            least[v] = corner
+    for v, corner in least.items():
+        if len({e for e, _ in corner}) < 3:
+            fail(v, "non-flag", f"clique reuses an edge: {corner}")
+        else:
+            fail(v, "non-flag", f"empty triangle {corner}")
     base = c.base_vertex
-    # a clique of four or more base loops passes only if its triangles do
-    if filled and base is not None and base not in flagged:
+    if filled and base is not None and base not in witness:
         loops = {i for i, e in enumerate(c.edges) if e.src == e.dst == base}
         pairs = [
             (i, q >> 1) for i in loops for q in adj[2 * i] | adj[2 * i + 1] if q >> 1 in loops
         ]
-        for clique in graphs.cliques(sorted(loops), pairs):
-            if len(clique) > 3 and frozenset(c.edges[i].eid for i in clique) not in c.salvetti_cubes:
-                flagged.add(base)
-                break
-    return flagged
+        if any(
+            len(clique) > 3 and frozenset(c.edges[i].eid for i in clique) not in c.salvetti_cubes
+            for clique in graphs.cliques(sorted(loops), pairs)
+        ):
+            ends = [p for i in loops for p in (2 * i, 2 * i + 1)]
+            pairs = [(end(p), end(q)) for p in ends for q in adj[p] if q > p and q >> 1 in loops]
+            for clique in graphs.cliques(sorted(map(end, ends)), pairs):
+                if len(clique) > 3 and frozenset(e for e, _ in clique) not in c.salvetti_cubes:
+                    fail(base, "non-flag", f"empty {len(clique)}-clique {clique}")
+                    break
+    return witness
 
 
 def _filled_triangles(c: CubeComplex, code, vertex) -> set[tuple[int, int, int]]:
     """The filled link triangles on three distinct edges, as sorted code
     triples: the signed corners of the 3-cubes at the Salvetti base, and the
     simplices (p, q, z+) and (p, q, z-) at each corner (p, q) of a prism,
-    where z is the z-loop at the corner's vertex.  These are the triangles
-    that `vertex_links` records."""
+    where z is the z-loop at the corner's vertex.  This is the one statement
+    of which link triangles are filled; a larger simplex is filled only at
+    the Salvetti base, where it is a signed corner of a cube."""
     filled = set()
     for cube in c.salvetti_cubes:
         if len(cube) == 3:

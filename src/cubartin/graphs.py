@@ -1,4 +1,4 @@
-"""The three graph routines the package needs, on plain node/pair lists.
+"""The graph routines the package needs, on plain node/pair lists.
 
 Nodes are any hashable values; a graph is given by its nodes and an iterable
 of (u, v) pairs.  Every result follows the order of first appearance (nodes,
@@ -68,13 +68,13 @@ def cliques(nodes, pairs):
     queue = deque(
         ([u, order[j], order[k]], later[i] & later[j] & later[k])
         for i, u in enumerate(order)
-        for j in _bits(later[i])
-        for k in _bits(later[i] & later[j])
+        for j in bits(later[i])
+        for k in bits(later[i] & later[j])
     )
     while queue:
         base, candidates = queue.popleft()
         yield base
-        # the same walk as _bits, inlined: a generator per clique costs
+        # the same walk as bits, inlined: a generator per clique costs
         # about a third more on the dense links of a Salvetti base
         while candidates:
             low = candidates & -candidates
@@ -83,7 +83,7 @@ def cliques(nodes, pairs):
             queue.append((base + [order[i]], candidates & later[i]))
 
 
-def _bits(mask):
+def bits(mask):
     """The indices of the set bits of mask, lowest first."""
     while mask:
         low = mask & -mask

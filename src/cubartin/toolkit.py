@@ -47,14 +47,6 @@ class GatePair:
 
 
 @dataclass(frozen=True)
-class ParallelDecomposition:
-    base: frozenset  # Y
-    copies: tuple  # parallel copies of Y, as vertex sets (Y included)
-    parallel_set: frozenset  # P_Y = hull of the union
-    orthogonal: frozenset  # Y-perp, the fiber through min(Y)
-
-
-@dataclass(frozen=True)
 class ProductPartition:
     classes: tuple  # tuple of frozensets of hyperplane ids
     factors: tuple  # tuple of vertex sets, one per class
@@ -79,14 +71,6 @@ def _hull_mask(coords) -> tuple[int, int]:
         lo &= x
         hi |= x
     return ~(lo ^ hi), lo
-
-
-def _bits(mask: int):
-    """The set bits of a nonnegative mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 MAX_VERTICES = 2000  # for every CubicalStructure, so for every is_median
@@ -177,7 +161,7 @@ class CubicalStructure:
         if not s:
             return frozenset()
         fixed, _ = _hull_mask(self.coords[v] for v in s)
-        return frozenset(_bits(~fixed))
+        return frozenset(graphs.bits(~fixed))
 
     def _disjoint(self) -> list[int]:
         """Per hyperplane, the mask of the hyperplanes it does not cross
@@ -217,7 +201,7 @@ class CubicalStructure:
         (f1, c1), (f2, c2) = (_hull_mask(self.coords[v] for v in y) for y in (y1, y2))
         v1 = frozenset(self._vertex[self.coords[w] & ~f1 | c1 & f1] for w in y2)
         matching = {v: self._vertex[self.coords[v] & ~f2 | c2 & f2] for v in sorted(v1)}
-        separators = frozenset(_bits(f1 & f2 & (c1 ^ c2)))
+        separators = frozenset(graphs.bits(f1 & f2 & (c1 ^ c2)))
         return GatePair(v1, frozenset(matching.values()), separators, matching)
 
     def check_gate_edge_duality(self, gp: GatePair):
@@ -231,31 +215,7 @@ class CubicalStructure:
                         return False, (e.eid, flip.bit_length() - 1)
         return True, None
 
-    # -- parallel sets and products ------------------------------------------
-
-    def parallel_set(self, y) -> ParallelDecomposition:
-        y = frozenset(y)
-        if not self.is_convex(y):
-            raise ValueError("parallel_set needs a convex input")
-        h1 = self.crosses(y)
-        mask = sum(1 << h for h in h1)
-        outer = ~mask
-        # fibers: vertex classes with identical coordinates away from H1
-        fibers: dict[int, set] = {}
-        for v in self.complex.vertices:
-            fibers.setdefault(self.coords[v] & outer, set()).add(v)
-        copies = []
-        for key in sorted(fibers):
-            fiber = frozenset(fibers[key])
-            if self.crosses(fiber) == h1:
-                copies.append(fiber)
-        union = set().union(*copies)
-        py = self.convex_hull(union)
-        base = min(y)
-        ortho = frozenset(
-            v for v in py if self.coords[v] & mask == self.coords[base] & mask
-        )
-        return ParallelDecomposition(y, tuple(copies), py, ortho)
+    # -- products --------------------------------------------------------------
 
     def product_decompose(self) -> ProductPartition:
         """Finest hyperplane partition into pairwise-crossing classes: the
@@ -271,11 +231,11 @@ class CubicalStructure:
             while frontier:
                 unvisited &= ~frontier
                 reached = 0
-                for h in _bits(frontier):
+                for h in graphs.bits(frontier):
                     reached |= disjoint[h]
                 frontier = reached & unvisited
                 cls |= frontier
-            classes.append(frozenset(_bits(cls)))
+            classes.append(frozenset(graphs.bits(cls)))
             factors.append(frozenset(v for v, x in self.coords.items() if (x ^ base) & ~cls == 0))
         return ProductPartition(tuple(classes), tuple(factors))
 
@@ -297,12 +257,12 @@ class CubicalStructure:
         for a in range(n):
             above = disjoint[a] >> a + 1 << a + 1
             side = (above & ~plus[a], above & plus[a])
-            for b in _bits(above):
+            for b in graphs.bits(above):
                 m = side[value[b] >> a & 1] & disjoint[b] & ~(value[a] ^ value[b])
                 m &= plus[b] if value[a] >> b & 1 else ~plus[b]
                 m >>= b + 1
                 if m:
-                    return True, (a, b, b + 1 + next(_bits(m)))
+                    return True, (a, b, b + 1 + next(graphs.bits(m)))
         return False, None
 
 

