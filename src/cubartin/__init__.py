@@ -23,14 +23,13 @@ from .cube_model import (
     CubeComplex,
     ComplexParseError,
     Edge,
-    Presentation,
     check_npc,
     complex_text,
     euler_characteristic,
-    extract_presentation,
     parse_complex,
     vertex_link,
 )
+from .presentations import Presentation, extract_presentation
 from .constructions import (
     build_K_even,
     build_K_odd,

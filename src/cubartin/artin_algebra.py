@@ -23,7 +23,7 @@ from itertools import product
 from .coxeter import CoxeterTable
 from .garside import GarsideContext, GarsideElement
 from .snf import in_row_span
-from .cube_model import Presentation
+from .presentations import Presentation
 from .words import (
     Word,
     artin_relation,

@@ -1,4 +1,6 @@
-"""Combinatorial cube complexes with vertex links and curvature checks.
+"""Combinatorial cube complexes: cells, vertex links, the curvature check
+and the line-oriented file format.  The presentations read off a complex
+are in `presentations`.
 
 A complex is a set of vertices, directed edges, and squares (closed boundary
 paths of four directed edge traversals).  Higher cubes come in two restricted
@@ -16,11 +18,9 @@ Link vertices are edge-ends: an edge u -> v contributes its outgoing end
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from itertools import combinations, product
 
 from . import graphs
-from .words import Word, cyclic_reduce, free_reduce, invert
 
 Traversal = tuple[str, int]  # (edge id, +1 forward / -1 backward)
 
@@ -340,226 +340,6 @@ def euler_characteristic(c: CubeComplex) -> int:
     for cube in c.salvetti_cubes:
         chi += (-1) ** len(cube)
     return chi
-
-
-# -- presentations --------------------------------------------------------
-
-@dataclass(frozen=True)
-class Presentation:
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "relators", tuple(cyclic_reduce(r) for r in self.relators)
-        )
-
-    def exponent_matrix(self) -> list[list[int]]:
-        index = {g: i for i, g in enumerate(self.generators)}
-        rows = []
-        for r in self.relators:
-            row = [0] * len(self.generators)
-            for g, e in r:
-                row[index[g]] += e
-            rows.append(row)
-        return rows
-
-
-def _is_spanning_tree(c: CubeComplex, tree: frozenset) -> bool:
-    if len(tree) != len(c.vertices) - 1:
-        return False
-    pairs = [(c.edge(eid).src, c.edge(eid).dst) for eid in tree]
-    return len(graphs.components(c.vertices, pairs)) == 1
-
-
-def extract_presentation(c: CubeComplex, spanning_tree) -> Presentation:
-    """Collapse a spanning tree: generators are the non-tree edges, one relator
-    per square.  The chain edges (c.internal_edges) are then Tietze-eliminated,
-    merging each chain of squares into a single relator."""
-    tree = frozenset(spanning_tree)
-    if not _is_spanning_tree(c, tree):
-        raise ValueError("not a spanning tree of the 1-skeleton")
-    gens = [e.eid for e in c.edges if e.eid not in tree]
-    relators = []
-    for _, ts in c.squares:
-        w = tuple((e, d) for e, d in ts if e not in tree)
-        relators.append(free_reduce(w))
-    gens, relators = _tietze_eliminate(gens, relators, c.internal_edges & set(gens))
-    # reduced, so only an empty relator is empty after cyclic reduction
-    relators = [r for r in relators if r]
-    return Presentation(tuple(gens), tuple(relators))
-
-
-def _tietze_eliminate(gens, relators, candidates):
-    """Tietze elimination on freely reduced relators, which stay reduced.
-
-    Each step takes the least candidate, in sorted order, that occurs once in
-    some relator, solves for it in the first such relator, drops that relator
-    and substitutes the value into the relators that hold the candidate.  A
-    step touches only relators joined to each other by shared candidates, so
-    each component of that relation is eliminated on its own and the
-    surviving relators keep their order.  A disc component, in which every
-    candidate occurs once in each of two relators and the gluing is a tree,
-    is read off by one walk (`_disc_word`); the others go through
-    `_eliminate_steps`."""
-    occurrences = {}  # candidate -> [(relator, position)]
-    for i, r in enumerate(relators):
-        for j, (g, _) in enumerate(r):
-            if g in candidates:
-                occurrences.setdefault(g, []).append((i, j))
-    parts = graphs.components((), ((occ[0][0], i) for occ in occurrences.values() for i, _ in occ))
-    held = {}  # each candidate under the relator of its first occurrence
-    for g, occ in occurrences.items():
-        held.setdefault(occ[0][0], []).append(g)
-    words = list(relators)
-    eliminated = set()
-    steps, step_letters = [], set()  # the components that are not discs
-    for part in parts:
-        letters = [g for i in part for g in held.get(i, ())]
-        # joined by len(part) - 1 candidates, each in two places, the part is
-        # a tree, so no candidate can occur twice in one relator
-        if len(letters) == len(part) - 1 and all(len(occurrences[g]) == 2 for g in letters):
-            root = max(part)
-            for i in part:
-                words[i] = None
-            words[root] = _disc_word(relators, root, occurrences)
-            eliminated.update(letters)
-        else:
-            steps.extend(part)
-            step_letters.update(letters)
-    if steps:
-        steps.sort()
-        gone, survivors = _eliminate_steps([relators[i] for i in steps], step_letters)
-        eliminated |= gone
-        for i in steps:
-            words[i] = None
-        for k, w in survivors:
-            words[steps[k]] = w
-    return [g for g in gens if g not in eliminated], [w for w in words if w is not None]
-
-
-def _disc_word(relators, root, occurrences):
-    """The one relator left of a disc component: relator root with each
-    candidate x^e replaced by the rest of its partner relator, read around
-    from the partner's occurrence of x, forward when that is x^-e and
-    inverted when it is x^e, and freely reduced as it is written.  Every
-    relator is entered once, from its parent in the tree rooted at root, so
-    the walk is linear in the letters; a stack of (relator, next position,
-    step, letters left) frames keeps it iterative."""
-    out = []
-    stack = [(root, 0, 1, len(relators[root]))]
-    while stack:
-        i, j, step, left = stack.pop()
-        r = relators[i]
-        while left:
-            g, e = r[j]
-            e *= step
-            j, left = (j + step) % len(r), left - 1
-            if g in occurrences:
-                stack.append((i, j, step, left))
-                a, b = occurrences[g]
-                i, j = b if a[0] == i else a
-                r = relators[i]
-                step = 1 if r[j][1] != e else -1
-                j, left = (j + step) % len(r), len(r) - 1
-            elif out and out[-1][0] == g and out[-1][1] == -e:
-                out.pop()
-            else:
-                out.append((g, e))
-    return tuple(out)
-
-
-def _eliminate_steps(relators, candidates):
-    """The eliminated candidates and the (index, word) of each surviving
-    relator, one step at a time.  An index from each candidate to its
-    relators keeps a step to them, each relator's candidate counts are a dict
-    updated in place, and each relator is kept with its inverse, so that
-    rotating, inverting and splicing are tuple slices."""
-    words = [(r, invert(r)) for r in relators]
-    held = []  # per relator, how often each candidate occurs in it
-    for r in relators:
-        counts = {}
-        for g, _ in r:
-            if g in candidates:
-                counts[g] = counts.get(g, 0) + 1
-        held.append(counts)
-    holders = {x: set() for x in candidates}
-    for i, counts in enumerate(held):
-        for y in counts:
-            holders[y].add(i)
-
-    def cancel(counts, cut, k):
-        """Take from counts the candidates of the letters cut, each of which
-        cancelled against its inverse; k is the relator that holds them."""
-        for g, _ in cut:
-            if g in candidates:
-                left = counts[g] - 2
-                if left:
-                    counts[g] = left
-                else:
-                    del counts[g]
-                    holders[g].discard(k)
-
-    ready = sorted(candidates)  # a heap; an entry is checked when popped
-    while ready:
-        x = heappop(ready)
-        i = min((i for i in holders.get(x, ()) if held[i][x] == 1), default=None)
-        if i is None:
-            continue
-        r, rinv = words[i]
-        words[i] = None
-        for y in held[i]:
-            holders[y].discard(i)
-        # r = u x^e v gives x^-e = v u; a rotation of a reduced word can
-        # cancel at the joint of v and u
-        (j,), n = _positions(r, x, 1), len(r)
-        rest, cut = _join((r[j + 1:], rinv[:n - j - 1]), (r[:j], rinv[n - j:]))
-        value = rest if r[j][1] == -1 else rest[::-1]
-        value_counts = held[i]  # relator i is gone, so its counts become the value's
-        del value_counts[x]
-        cancel(value_counts, cut, i)
-        for k in holders.pop(x):
-            s, sinv = words[k]
-            m, counts = len(s), held[k]
-            positions = _positions(s, x, counts.pop(x))
-            acc, cut = (s[:positions[0]], sinv[m - positions[0]:]), ()
-            for p, q in zip(positions, positions[1:] + [m]):
-                for piece in (value if s[p][1] == 1 else value[::-1], (s[p + 1:q], sinv[m - q:m - p - 1])):
-                    acc, more = _join(acc, piece)
-                    cut += more
-            for y, c in value_counts.items():
-                counts[y] = counts.get(y, 0) + c * len(positions)
-            cancel(counts, cut, k)
-            for y, c in counts.items():
-                holders[y].add(k)
-                if c == 1:
-                    heappush(ready, y)
-            words[k] = acc
-    return set(candidates) - holders.keys(), [(i, w[0]) for i, w in enumerate(words) if w]
-
-
-def _positions(w: Word, x: str, count: int) -> list[int]:
-    """Where the generator x occurs `count` times in w, by tuple searches."""
-    found = []
-    for letter in ((x, 1), (x, -1)):
-        p = -1
-        try:
-            while len(found) < count:
-                p = w.index(letter, p + 1)
-                found.append(p)
-        except ValueError:
-            pass
-    return sorted(found)
-
-
-def _join(u, v):
-    """The reduced product of two reduced words, each paired with its inverse,
-    and the letters of u that cancel: letters cancel only at the joint."""
-    (a, ainv), (b, binv) = u, v
-    k, la, lb = 0, len(a), len(b)
-    while k < la and k < lb and a[la - 1 - k] == binv[lb - 1 - k]:
-        k += 1
-    return (a[:la - k] + b[k:], binv[:lb - k] + ainv[k:]), a[la - k:]
 
 
 # -- serialization --------------------------------------------------------

@@ -16,9 +16,9 @@ every relator at each elimination step; `brute_two_dimensional` walks every
 vertex triple of a defining graph, and `two_twos_plan` spells out the
 three-generator plan piece by piece.  The library's one-pass `vertex_links`,
 corner-screened `check_npc`, one-search `CubicalStructure` with its
-coordinate and carrier masks, gates by projection, disc-walking and indexed
-`_tietze_eliminate`, neighbour-set triangle scan and subgraph plans must
-agree with them.
+coordinate and carrier masks, gates by projection, disc-walking
+`_tietze_eliminate` (on every disc; it refuses any other component),
+neighbour-set triangle scan and subgraph plans must agree with them.
 
 `check_local_convexity` tests the circles along which the constructions
 glue; `parallel_set` decomposes the parallel set of a convex set;
@@ -32,8 +32,9 @@ from itertools import combinations, product
 
 from cubartin import graphs
 from cubartin.coxeter import braid_closure, is_spherical_triangle
-from cubartin.cube_model import NpcViolation, Presentation
+from cubartin.cube_model import NpcViolation
 from cubartin.defining_graph import Circle, ConstructionPlan, EvenEdge, OddEdge
+from cubartin.presentations import Presentation
 from cubartin.toolkit import GatePair, _edge_classes
 from cubartin.words import free_reduce, invert
 

@@ -163,7 +163,7 @@ class TestAprimePresentation:
         p = aa.aprime_presentation(n)
         assert p.generators == ("r", "s", "t")
         l, r = aa.artin_relation("a", "b", n)
-        from cubartin.cube_model import Presentation
+        from cubartin.presentations import Presentation
 
         big = Presentation(("a", "b"), (free_reduce(concat(l, invert(r))),))
         rs = subgroup_presentation(big, {"a": 1, "b": 1})
@@ -187,7 +187,7 @@ class TestAprimePresentation:
 
 class TestReidemeisterSchreier:
     def test_free_group_kernel(self):
-        from cubartin.cube_model import Presentation
+        from cubartin.presentations import Presentation
 
         p = Presentation(("a", "b"), ())
         sub = subgroup_presentation(p, {"a": 1, "b": 0})
@@ -196,13 +196,13 @@ class TestReidemeisterSchreier:
         assert sub.relators == ()
 
     def test_trivial_sign_rejected(self):
-        from cubartin.cube_model import Presentation
+        from cubartin.presentations import Presentation
 
         with pytest.raises(ValueError, match="trivial"):
             subgroup_presentation(Presentation(("a",), ()), {"a": 0})
 
     def test_kernel_of_z_mod_2(self):
-        from cubartin.cube_model import Presentation
+        from cubartin.presentations import Presentation
 
         p = Presentation(("a",), ())
         sub = subgroup_presentation(p, {"a": 1})
@@ -213,14 +213,14 @@ class TestReidemeisterSchreier:
 
 class TestCommutatorMembership:
     def test_free_abelian(self):
-        from cubartin.cube_model import Presentation
+        from cubartin.presentations import Presentation
 
         p = Presentation(("a", "b"), ())
         assert aa.commutator_membership(p, parse_word("abAB"))
         assert not aa.commutator_membership(p, parse_word("a"))
 
     def test_unknown_generator(self):
-        from cubartin.cube_model import Presentation
+        from cubartin.presentations import Presentation
 
         with pytest.raises(ValueError, match="unknown"):
             aa.commutator_membership(Presentation(("a",), ()), parse_word("x"))

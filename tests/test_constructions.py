@@ -1,4 +1,5 @@
 from itertools import combinations
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -7,6 +8,7 @@ from oracles import check_local_convexity
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubartin import cli
 from cubartin import constructions as cons
 from cubartin import cube_model as cm
 from cubartin import defining_graph as dg
@@ -342,3 +344,45 @@ def test_fallback_spanning_tree_on_foreign_complex():
         (("e1", 1), ("e3", 1), ("l", 1)),
         (("e6", 1), ("e1", 1)),
     )
+
+
+def z_sides_flipped(signs):
+    """_product_cells with the z sides of the first chain edge's z-square
+    given the signs (z_dst, z_src): (1, -1) as built."""
+    real = cons._product_cells
+
+    def cells(k, z_name):
+        out = real(k, z_name)
+        e = min(out["internal_edges"])
+        squares = []
+        for sid, ts in out["squares"]:
+            if sid == f"zs.{e}":
+                (_, _), (z_dst, _), (_, _), (z_src, _) = ts
+                ts = ((e, 1), (z_dst, signs[0]), (e, -1), (z_src, signs[1]))
+            squares.append((sid, ts))
+        return {**out, "squares": squares}
+
+    return cells
+
+
+@pytest.mark.parametrize("m", [5, 6])
+@pytest.mark.parametrize(
+    "signs, builds",
+    # e z e^-1 z is another relation; e z^-1 e^-1 z is the built one inverted
+    [((1, 1), False), ((-1, 1), True)],
+    ids=["one-side-reversed", "both-sides-reversed"],
+)
+def test_z_rule_sets_aside_only_the_exact_z_square(m, signs, builds, tmp_path, capsys):
+    graph = tmp_path / "graph.txt"
+    graph.write_text(f"vertex c\nvertex u\nvertex v\nedge c u 2\nedge c v 2\nedge u v {m}\n")
+    out = tmp_path / "out.complex"
+    with mock.patch.object(cons, "_product_cells", z_sides_flipped(signs)):
+        code = cli.main(["build", "--graph", str(graph), "-o", str(out)])
+    err = capsys.readouterr().err
+    if builds:
+        assert (code, err) == (0, "")
+        assert out.exists()
+    else:
+        assert code == 2
+        assert not out.exists()
+        assert "error: the relators of chain edges u.v." in err and "do not form a disc" in err

@@ -8,6 +8,7 @@ from oracles import check_local_convexity
 from cubartin import cube_model as cm
 from cubartin import constructions as cons
 from cubartin.cube_model import Edge, make_complex
+from cubartin.presentations import extract_presentation
 from cubartin.snf import abelian_invariants
 from cubartin.words import parse_word, invert
 
@@ -171,13 +172,13 @@ class TestEuler:
 class TestExtraction:
     def test_circle(self):
         c = make_complex(["v"], [Edge("a", "v", "v")], [])
-        p = cm.extract_presentation(c, frozenset())
+        p = extract_presentation(c, frozenset())
         assert p.generators == ("a",)
         assert p.relators == ()
 
     def test_K3_composite_relator(self):
         c = cons.build_K_odd(3)
-        p = cm.extract_presentation(c, frozenset({"t"}))
+        p = extract_presentation(c, frozenset({"t"}))
         assert set(p.generators) == {"a", "b"}
         (rel,) = p.relators
         expected = parse_word("abaBAB")
@@ -186,7 +187,7 @@ class TestExtraction:
 
     def test_K6_composite_relator(self):
         c = cons.build_K_even(6, "a")
-        p = cm.extract_presentation(c, frozenset())
+        p = extract_presentation(c, frozenset())
         (rel,) = p.relators
         expected = parse_word("axxxAXXX")
         variants = set(rotations(expected)) | set(rotations(invert(expected)))
@@ -194,14 +195,14 @@ class TestExtraction:
 
     def test_not_a_spanning_tree(self):
         with pytest.raises(ValueError, match="spanning tree"):
-            cm.extract_presentation(cons.build_K_odd(3), frozenset({"a", "b"}))
+            extract_presentation(cons.build_K_odd(3), frozenset({"a", "b"}))
 
     def test_abelianization_tree_independent(self):
         c = cons.build_K_odd(5)
         non_loops = [e.eid for e in c.edges if not e.is_loop]
         results = set()
         for eid in non_loops:
-            p = cm.extract_presentation(c, frozenset({eid}))
+            p = extract_presentation(c, frozenset({eid}))
             results.add(abelian_invariants(p.exponent_matrix(), len(p.generators)))
         assert len(results) == 1
 
