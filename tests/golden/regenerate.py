@@ -1,12 +1,15 @@
-"""The golden `cubartin build` corpus: its inputs, how one is run, and the
-script that rewrites the expected results in build.json.
+"""The golden `cubartin build` and `cubartin algebra` corpora: their inputs,
+how one is run, and the script that rewrites the expected results in
+build.json and algebra.json.
 
-Each case is a defining graph run through `cli.main` in-process, in a fresh
-directory, as `build --graph graph.txt -o out.complex`.  Its record holds
-the exit code, stdout, and the SHA-256 and line count of the `-o` file
-(None when no file is written).  tests/test_golden.py compares every record.
+A build case is a defining graph run through `cli.main` in-process, in a
+fresh directory, as `build --graph graph.txt -o out.complex`.  Its record
+holds the exit code, stdout, and the SHA-256 and line count of the `-o`
+file (None when no file is written).  An algebra case is an argument list
+run through `cli.main`; its record holds the arguments, the exit code,
+stdout and stderr.  tests/test_golden.py compares every record.
 
-Run from the repository root to rewrite build.json:
+Run from the repository root to rewrite both files:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
@@ -28,6 +31,7 @@ from pathlib import Path
 from cubartin import cli
 
 EXPECTED = Path(__file__).with_name("build.json")
+ALGEBRA_EXPECTED = Path(__file__).with_name("algebra.json")
 
 
 def graph_text(vertices, edges) -> str:
@@ -116,10 +120,96 @@ def record(text: str) -> dict:
     return {"graph": text, "exit": code, "stdout": out.getvalue(), "output": output}
 
 
+# -- algebra ---------------------------------------------------------------------
+
+# words in a, b: mixed signs, a long one, Delta-heavy ones and the empty word
+DIHEDRAL_WORDS = ("", "a", "B", "abaB", "BaBAbaabAB", "abbaBAab" * 5, "aBaBAbAbbbaa" * 3)
+DIHEDRAL = (*range(2, 14), 16, 21, 32, 50, 51, 64, 100, 101)
+SPHERICAL_WORDS = ("", "c", "abcABC", "abacabCBAcbc", "cbaCBAabcbca" * 3, "aBcAbC" * 4)
+SPHERICAL_EQUAL = (
+    ("aba", "bab"),
+    ("bc", "cb"),
+    ("abcabc", "bcabca"),
+    ("abAB", ""),
+    ("abcabcabcabc", "cbacbacbacba"),
+    ("acacacacac", "cacacacaca"),
+)
+PHI = (3, 5, 7, 9, 11, 13, 21, 51, 101, 151, 201)
+COMMUTATOR = (("s", 3), ("sS", 3), ("rs", 3), ("rsRS", 5), ("rsRStq", 7), ("qRst", 4), ("rrrSSS", 9))
+BOUNDED = ((0, 2, 2), (1, 2, 2), (2, 0, 0), (2, 1, 1), (3, 4, 4), (4, 2, 2), (5, 1, 2), (6, 2, 2))
+
+
+def _algebra_cases() -> dict:
+    cases = {}
+    for n in DIHEDRAL:
+        a = "ab" * n
+        for i, w in enumerate((*DIHEDRAL_WORDS, a[:n], a[:n].upper())):
+            cases[f"nf-I2({n})-{i}"] = ["nf", "--dihedral", str(n), "--word", w]
+        b = "ba" * n
+        cases[f"equal-I2({n})-relation"] = ["equal", "--dihedral", str(n), "--word", a[:n], "--word2", b[:n]]
+        cases[f"equal-I2({n})-ab-ba"] = ["equal", "--dihedral", str(n), "--word", "ab", "--word2", "ba"]
+        cases[f"equal-I2({n})-center"] = [
+            "equal", "--dihedral", str(n), "--word", a[: 2 * n] + "a", "--word2", "a" + a[: 2 * n]
+        ]
+    for m in (3, 4, 5):
+        for i, w in enumerate(SPHERICAL_WORDS):
+            cases[f"nf-type{m}-{i}"] = ["nf", "--type", str(m), "--word", w]
+        for i, (w1, w2) in enumerate(SPHERICAL_EQUAL):
+            cases[f"equal-type{m}-{i}"] = ["equal", "--type", str(m), "--word", w1, "--word2", w2]
+        cases[f"center-type{m}"] = ["center", "--type", str(m)]
+        for L, K, M in BOUNDED:
+            cases[f"bounded-type{m}-L{L}-K{K}-M{M}"] = [
+                "bounded-checks", "--type", str(m), "--L", str(L), "--K", str(K), "--M", str(M)
+            ]
+    for n in PHI:
+        cases[f"phi-{n}"] = ["phi", "--dihedral", str(n)]
+    for w, n in COMMUTATOR:
+        cases[f"commutator-{n}-{w}"] = ["commutator", "--dihedral", str(n), "--word", w]
+    for n in (2, 3, 4, 7, 100):
+        cases[f"center-I2({n})"] = ["center", "--dihedral", str(n)]
+    cases.update({
+        "doc-nf-type5": ["--format", "doc", "nf", "--type", "5", "--word", "abcABC"],
+        "doc-bounded-type4": ["--format", "doc", "bounded-checks", "--type", "4", "--L", "3"],
+        "doc-phi-7": ["--format", "doc", "phi", "--dihedral", "7"],
+        # refusals and input errors, exit 2
+        "refuse-L-10": ["bounded-checks", "--type", "5", "--L", "10"],
+        "refuse-K-5": ["bounded-checks", "--type", "5", "--L", "1", "--K", "5"],
+        "refuse-M-5": ["bounded-checks", "--type", "3", "--L", "1", "--M", "5"],
+        "refuse-L-negative": ["bounded-checks", "--type", "3", "--L", "-1"],
+        "refuse-dihedral-1001": ["nf", "--dihedral", "1001", "--word", "ab"],
+        "refuse-phi-1001": ["phi", "--dihedral", "1001"],
+        "refuse-phi-even": ["phi", "--dihedral", "8"],
+        "refuse-dihedral-1": ["nf", "--dihedral", "1", "--word", "a"],
+        "refuse-type-6": ["nf", "--type", "6", "--word", "ab"],
+        "refuse-bounded-type-6": ["bounded-checks", "--type", "6"],
+        "refuse-bounded-no-type": ["bounded-checks", "--dihedral", "3"],
+        "refuse-no-context": ["nf", "--word", "ab"],
+        "refuse-no-word": ["nf", "--dihedral", "3"],
+        "refuse-bad-letter": ["nf", "--dihedral", "3", "--word", "a!b"],
+        "refuse-unknown-letter": ["nf", "--dihedral", "3", "--word", "abc"],
+        "refuse-unknown-letter-type": ["equal", "--type", "3", "--word", "abd", "--word2", "a"],
+        "refuse-commutator-odd": ["commutator", "--dihedral", "3", "--word", "x"],
+    })
+    return {name: argv[:2] + ["algebra"] + argv[2:] if argv[0] == "--format" else ["algebra"] + argv
+            for name, argv in cases.items()}
+
+
+ALGEBRA_CASES = _algebra_cases()
+
+
+def algebra_record(argv: list) -> dict:
+    """Run the `algebra` arguments and return their record."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
 def main() -> int:
-    records = {name: record(text) for name, text in CASES.items()}
-    EXPECTED.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(records)} cases to {EXPECTED}", file=sys.stderr)
+    for path, cases, run in ((EXPECTED, CASES, record), (ALGEBRA_EXPECTED, ALGEBRA_CASES, algebra_record)):
+        records = {name: run(case) for name, case in cases.items()}
+        path.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(records)} cases to {path}", file=sys.stderr)
     return 0
 
 
