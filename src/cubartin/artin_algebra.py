@@ -18,8 +18,6 @@ reported as bounded verification, never as proofs.
 
 from __future__ import annotations
 
-from itertools import product
-
 from .coxeter import CoxeterTable
 from .garside import GarsideContext, GarsideElement
 from .snf import in_row_span
@@ -57,12 +55,11 @@ class ArtinContext:
         return self.nf(w1) == self.nf(w2)
 
 
-# table memory grows as n^2: at n = 1000 a process peaks at 26 MB, and its
-# slowest command, `algebra phi`, takes about 5 s
+# the slowest command at the bound, `algebra phi --dihedral 999`, takes
+# 0.5-0.7 s and peaks at 27 MB as a process (Python 3.11, 2 vCPUs)
 MAX_DIHEDRAL = 1000
-# bounded_lemma_checks takes 23-26 s per type at L = 9, x3.3 per step of L;
-# clause (iii) adds (2M)(2K+1) products per word, and L = 9 with K = M = 4
-# takes 48-50 s per type, inside the same 60 s budget
+# bounded_lemma_checks takes 0.4-0.8 s per type at L = 9 with K = M = 4 on
+# the same machine, x3 per step of L; K and M only add lookup targets
 MAX_L, MAX_K, MAX_M = 9, 4, 4
 
 
@@ -123,10 +120,7 @@ def even_rewrite(w: Word) -> Word:
     """Rewrite an even-length word in a, b as a word in r, s, t."""
     if len(w) % 2:
         raise ValueError("word has odd length")
-    out: Word = ()
-    for i in range(0, len(w), 2):
-        out = concat(out, _PAIR_TABLE[(w[i], w[i + 1])])
-    return free_reduce(out)
+    return free_reduce(x for i in range(0, len(w), 2) for x in _PAIR_TABLE[w[i], w[i + 1]])
 
 
 def expand_prime(w: Word) -> Word:
@@ -155,9 +149,9 @@ def build_phi(n: int) -> Word:
     """phi(s, t, r) = s^-1 * prod_{i=(n-3)/2 .. 0} r^-i t^-1 r^i."""
     if n % 2 == 0 or n < 3:
         raise ValueError("phi is defined for odd n >= 3")
-    w: Word = (("s", -1),)
+    w = [("s", -1)]
     for i in range((n - 3) // 2, -1, -1):
-        w = concat(w, power((("r", 1),), -i), (("t", -1),), power((("r", 1),), i))
+        w += [("r", -1)] * i + [("t", -1)] + [("r", 1)] * i
     return free_reduce(w)
 
 
@@ -218,15 +212,6 @@ def center_check(ctx) -> dict:
     }
 
 
-def _bounded_words(gens, max_len):
-    letters = [(g, e) for g in gens for e in (1, -1)]
-    for length in range(1, max_len + 1):
-        for combo in product(letters, repeat=length):
-            w = free_reduce(combo)
-            if len(w) == length:
-                yield w
-
-
 def bounded_lemma_checks(ctx: ArtinContext, L: int = 6, K: int = 2, M: int = 2) -> dict:
     """Bounded verification of the intersection lemma instances.
 
@@ -234,7 +219,13 @@ def bounded_lemma_checks(ctx: ArtinContext, L: int = 6, K: int = 2, M: int = 2) 
     equals z^k for 0 < |k| <= K.
     (iii): no c^j (0 < |j| <= M) equals g z^k with g over {a, b} of length
     <= L and |k| <= K.
-    Results are bounded verification at (L, K, M), not proofs.
+    The reduced words are walked by length and then letter order, each
+    normal form one multiplication by a letter past its prefix's.  Both
+    clauses are then lookups: (ii) of nf(w) among the forms of z^k, and
+    (iii) of nf(g) among those of c^j z^-k, since g z^k = c^j exactly when
+    g = c^j z^-k.  Violations list (ii) in walk order, then (iii) by
+    (j, k) and walk order.  Results are bounded verification at (L, K, M),
+    not proofs.
     """
     if min(L, K, M) < 0:
         raise ValueError("bounds L, K and M must be >= 0")
@@ -242,32 +233,28 @@ def bounded_lemma_checks(ctx: ArtinContext, L: int = 6, K: int = 2, M: int = 2) 
         if value > bound:
             raise ValueError(f"{name} = {value} exceeds the bound {bound}")
     g = ctx.garside
-    z_nfs = {}
-    for k in range(-K, K + 1):
-        if k:
-            z_nfs[k] = g.word_nf(power(ctx.z_word, k))
-    violations = []
+    z_powers = {g.word_nf(power(ctx.z_word, k)): k for k in range(-K, K + 1) if k}
+    targets: dict[GarsideElement, list] = {}
+    for j, k in [(j, k) for j in range(-M, M + 1) if j for k in range(-K, K + 1)]:
+        targets.setdefault(g.word_nf(concat(power((("c", 1),), j), power(ctx.z_word, -k))), []).append((j, k))
+    ii, iii = [], []
     for pair in (("a", "b"), ("b", "c")):
-        for w in _bounded_words(pair, L):
-            nf = g.word_nf(w)
-            for k, znf in z_nfs.items():
-                if nf == znf:
-                    violations.append(("ii", pair, word_str(w), k))
-    ab_nfs = [(g.identity, "")]
-    ab_nfs += [(g.word_nf(w), word_str(w)) for w in _bounded_words(("a", "b"), L)]
-    for j in range(-M, M + 1):
-        if not j:
-            continue
-        cj = g.word_nf(power((("c", 1),), j))
-        for k in range(-K, K + 1):
-            zk = g.word_nf(power(ctx.z_word, k))
-            for nf, text in ab_nfs:
-                if g.mul(nf, zk) == cj:
-                    violations.append(("iii", text, k, j))
+        steps = {(s, e): g.from_letter(s, e) for s in pair for e in (1, -1)}
+        level = [((), g.identity)]
+        for length in range(L + 1):
+            if length:
+                level = [(w + (x,), g.mul(nf, step)) for w, nf in level for x, step in steps.items()
+                         if not w or w[-1] != (x[0], -x[1])]
+            for w, nf in level:
+                if nf in z_powers:
+                    ii.append(("ii", pair, word_str(w), z_powers[nf]))
+                if pair == ("a", "b"):
+                    iii += [("iii", word_str(w), k, j) for j, k in targets.get(nf, ())]
+    violations = ii + sorted(iii, key=lambda v: (v[3], v[2]))
     return {
         "label": "bounded verification",
         "bounds": {"L": L, "K": K, "M": M},
-        "ii_verified": not any(v[0] == "ii" for v in violations),
-        "iii_verified": not any(v[0] == "iii" for v in violations),
+        "ii_verified": not ii,
+        "iii_verified": not iii,
         "violations": violations,
     }

@@ -18,7 +18,7 @@ Link vertices are edge-ends: an edge u -> v contributes its outgoing end
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from . import graphs
 
@@ -130,6 +130,9 @@ def _validate(c: CubeComplex) -> None:
         e = emap.get(z)
         if e is None or not e.is_loop or e.src != v:
             raise ValueError(f"z-loop {z} is not a loop at {v}")
+    unknown = sorted(c.internal_edges - emap.keys())
+    if unknown:
+        raise ValueError(f"internal record {unknown[0]} names no edge")
 
 
 def make_complex(
@@ -319,8 +322,8 @@ def _filled_triangles(c: CubeComplex, code, vertex) -> set[tuple[int, int, int]]
     filled = set()
     for cube in c.salvetti_cubes:
         if len(cube) == 3:
-            for corner in product(*((code[e, 1], code[e, -1]) for e in cube)):
-                filled.add(tuple(sorted(corner)))
+            a, b, d = ((code[e, 1], code[e, -1]) for e in cube)
+            filled.update(tuple(sorted((p, q, r))) for p in a for q in b for r in d)
     zmap = dict(c.zloops)
     smap = dict(c.squares)
     for sid in c.prisms:

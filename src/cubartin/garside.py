@@ -7,7 +7,11 @@ head of s_{i+1} to the tail of s_i) and no factor trivial or Delta.  Such
 forms are canonical, so the word problem is structural equality.
 
 Conjugation by Delta acts on simples as tau(x) = w0 x w0, which shifts
-factors past Delta powers during multiplication.
+factors past Delta powers during multiplication.  A product appends the
+right factor's simples one at a time, and each append is one right-to-left
+sweep of left-weighting over adjacent pairs, so a word of n letters costs
+n sweeps rather than a pass to a fixpoint after every letter (Epstein et
+al., *Word Processing in Groups*, ch. 9; Charney, Math. Ann. 292, 1992).
 """
 
 from __future__ import annotations
@@ -50,34 +54,37 @@ class GarsideContext:
                     changed = True
         return x, y
 
-    def normalize_factors(self, inf: int, factors) -> GarsideElement:
-        """Bubble adjacent pairs to left-weighted form, pull Deltas into the
-        infimum, and drop trivial factors."""
-        t = self.table
-        fs = [f for f in factors if f != 0]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(fs) - 1):
-                x, y = self.left_weight_pair(fs[i], fs[i + 1])
-                if (x, y) != (fs[i], fs[i + 1]):
-                    fs[i], fs[i + 1] = x, y
-                    changed = True
-            fs = [f for f in fs if f != 0]
-        while fs and fs[0] == t.w0:
-            # Delta^inf (Delta f2 ...) = Delta^(inf+1) f2 ...
-            fs.pop(0)
-            inf += 1
-        return GarsideElement(inf, tuple(fs))
-
     # -- arithmetic ----------------------------------------------------------
 
-    def tau_power(self, f: int, k: int) -> int:
-        return self.table.tau[f] if k % 2 else f
-
     def mul(self, u: GarsideElement, v: GarsideElement) -> GarsideElement:
-        shifted = [self.tau_power(f, v.inf) for f in u.factors]
-        return self.normalize_factors(u.inf + v.inf, shifted + list(v.factors))
+        """u v, from Delta^p A Delta^q B = Delta^(p+q) tau^q(A) B.
+
+        Each simple of B is appended and swept right to left.  Left-weighting
+        (x, y) moves the head of y onto x, so only the pair to its left can
+        break; once a pair comes out unchanged, all pairs to its left are as
+        they were, left-weighted, and the sweep stops.  Only the appended
+        simple can end trivial (an emptied older s_i would make s_{i-1} s_i
+        simple, so that pair was not left-weighted), and a Delta can only
+        lead, since (x, Delta) is left-weighted only for x = Delta; leading
+        Deltas go into the infimum.
+        """
+        t = self.table
+        fs = [t.tau[f] for f in u.factors] if v.inf % 2 else list(u.factors)
+        for y in v.factors:
+            fs.append(y)
+            i = len(fs) - 1
+            while i:
+                pair = self.left_weight_pair(fs[i - 1], fs[i])
+                if pair == (fs[i - 1], fs[i]):
+                    break
+                fs[i - 1], fs[i] = pair
+                i -= 1
+            if fs[-1] == 0:
+                fs.pop()
+        d = 0
+        while d < len(fs) and fs[d] == t.w0:
+            d += 1
+        return GarsideElement(u.inf + v.inf + d, tuple(fs[d:]))
 
     def from_letter(self, g: str, e: int) -> GarsideElement:
         t = self.table

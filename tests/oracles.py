@@ -24,7 +24,13 @@ neighbour-set triangle scan and subgraph plans must agree with them.
 glue; `parallel_set` decomposes the parallel set of a convex set;
 `subgroup_presentation` is Reidemeister-Schreier for an index-2 kernel; and
 `positive_equal` decides equality of positive Artin words by the closure
-under the defining relations.  `tail`, `head` and `in_end` read a traversal.
+under the defining relations.  `bubble_normal_form` multiplies letter by
+letter and bubbles the whole factor list to a fixpoint after each one, and
+`brute_bounded_lemma_checks` keeps the freely reduced letter tuples of each
+length, normal-forms each from scratch and tries (2M)(2K+1) products per
+word in clause (iii); the one-sweep `GarsideContext.mul` and the level-by-level,
+lookup-based `bounded_lemma_checks` must agree with them.  `tail`, `head`
+and `in_end` read a traversal.
 """
 
 from dataclasses import dataclass
@@ -36,7 +42,8 @@ from cubartin.cube_model import NpcViolation
 from cubartin.defining_graph import Circle, ConstructionPlan, EvenEdge, OddEdge
 from cubartin.presentations import Presentation
 from cubartin.toolkit import GatePair, _edge_classes
-from cubartin.words import free_reduce, invert
+from cubartin.garside import GarsideElement
+from cubartin.words import free_reduce, invert, power, word_str
 
 
 def tail(c, t):
@@ -529,3 +536,71 @@ def positive_equal(ctx, w1, w2) -> bool:
 def positive_class(ctx, letters: tuple) -> set:
     """Every positive word, as a letter tuple, equal to letters."""
     return braid_closure(letters, ctx.table.moves)
+
+
+def _bubble(g, inf, factors):
+    """Bubble adjacent pairs of simples to left-weighted form until nothing
+    changes, drop trivial factors and pull leading Deltas into the infimum."""
+    fs = [f for f in factors if f != 0]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(fs) - 1):
+            x, y = g.left_weight_pair(fs[i], fs[i + 1])
+            if (x, y) != (fs[i], fs[i + 1]):
+                fs[i], fs[i + 1] = x, y
+                changed = True
+        fs = [f for f in fs if f != 0]
+    while fs and fs[0] == g.table.w0:
+        fs.pop(0)
+        inf += 1
+    return GarsideElement(inf, tuple(fs))
+
+
+def _bubble_mul(g, u, v):
+    shifted = [g.table.tau[f] if v.inf % 2 else f for f in u.factors]
+    return _bubble(g, u.inf + v.inf, shifted + list(v.factors))
+
+
+def bubble_normal_form(g, w):
+    """The normal form of the word w in the GarsideContext g, one bubbled
+    product per letter."""
+    out = g.identity
+    for letter in w:
+        out = _bubble_mul(g, out, g.from_letter(*letter))
+    return out
+
+
+def brute_bounded_lemma_checks(ctx, L, K, M) -> dict:
+    """The report of `bounded_lemma_checks`, from every letter tuple of each
+    length kept when it is freely reduced, and (2M)(2K+1) bubbled products
+    per {a, b} word."""
+    g = ctx.garside
+
+    def words(gens):
+        letters = [(x, e) for x in gens for e in (1, -1)]
+        for length in range(1, L + 1):
+            for combo in product(letters, repeat=length):
+                if len(free_reduce(combo)) == length:
+                    yield combo
+
+    z_nfs = {k: bubble_normal_form(g, power(ctx.z_word, k)) for k in range(-K, K + 1)}
+    violations = []
+    for pair in (("a", "b"), ("b", "c")):
+        for w in words(pair):
+            nf = bubble_normal_form(g, w)
+            violations += [("ii", pair, word_str(w), k) for k, znf in z_nfs.items() if k and nf == znf]
+    ab_nfs = [(g.identity, "")] + [(bubble_normal_form(g, w), word_str(w)) for w in words(("a", "b"))]
+    for j in range(-M, M + 1):
+        if not j:
+            continue
+        cj = bubble_normal_form(g, power((("c", 1),), j))
+        for k in range(-K, K + 1):
+            violations += [("iii", text, k, j) for nf, text in ab_nfs if _bubble_mul(g, nf, z_nfs[k]) == cj]
+    return {
+        "label": "bounded verification",
+        "bounds": {"L": L, "K": K, "M": M},
+        "ii_verified": not any(v[0] == "ii" for v in violations),
+        "iii_verified": not any(v[0] == "iii" for v in violations),
+        "violations": violations,
+    }

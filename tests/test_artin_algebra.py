@@ -1,5 +1,7 @@
 import pytest
-from oracles import positive_equal, subgroup_presentation
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import brute_bounded_lemma_checks, positive_equal, subgroup_presentation
 
 from cubartin import artin_algebra as aa
 from cubartin.snf import abelian_invariants
@@ -288,3 +290,38 @@ class TestBoundedLemmas:
     def test_K_and_M_past_bound_rejected(self, bounds):
         with pytest.raises(ValueError, match="exceeds the bound 4"):
             aa.bounded_lemma_checks(aa.SphericalContext(5), L=1, **bounds)
+
+
+def all_two_triangle(z_word=None) -> aa.ArtinContext:
+    """Z^3 as the triangle with every label 2; z = abc unless z_word is given."""
+    ctx = aa.ArtinContext(("a", "b", "c"), {("a", "b"): 2, ("b", "c"): 2, ("a", "c"): 2})
+    if z_word is not None:
+        ctx.z_word = parse_word(z_word)
+    return ctx
+
+
+# the all-2 triangle, where clause (iii) fails; with z = b, where clause (ii)
+# fails on both pairs; and the three spherical types, where both hold
+BOUNDED_CONTEXTS = (all_two_triangle(), all_two_triangle("b"), *(aa.SphericalContext(m) for m in (3, 4, 5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(BOUNDED_CONTEXTS),
+    st.integers(0, 4),
+    st.integers(0, 2),
+    st.integers(0, 2),
+)
+def test_bounded_checks_match_brute_force(ctx, L, K, M):
+    assert aa.bounded_lemma_checks(ctx, L, K, M) == brute_bounded_lemma_checks(ctx, L, K, M)
+
+
+def test_all_two_triangle_violations_in_order():
+    report = aa.bounded_lemma_checks(all_two_triangle(), L=4, K=2, M=2)
+    assert report["violations"] == brute_bounded_lemma_checks(all_two_triangle(), 4, 2, 2)["violations"]
+    assert len(report["violations"]) == 24
+    # g z^k = c^j needs j = k and g = a^-k b^-k in Z^3, found by (j, k) and then walk order
+    assert report["violations"][:7] == [("iii", w, -2, -2) for w in ("aabb", "abab", "abba", "baab", "baba", "bbaa")] + [
+        ("iii", "ab", -1, -1)
+    ]
+    assert report["ii_verified"] and not report["iii_verified"]

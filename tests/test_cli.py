@@ -201,6 +201,13 @@ class TestBuildVerify:
         assert code == 2
         assert "error:" in err
 
+    def test_verify_refuses_an_internal_record_that_names_no_edge(self, capsys, tmp_path):
+        bad = tmp_path / "bad.complex"
+        bad.write_text("cubecomplex 1\nvertex v\ninternal nosuch\n")
+        code, out, err = run(capsys, "verify", "--complex", str(bad))
+        assert (code, out) == (2, "")
+        assert "internal record nosuch names no edge" in err
+
 
 class TestToolkit:
     @pytest.fixture()

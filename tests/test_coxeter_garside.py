@@ -1,4 +1,7 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import bubble_normal_form
 
 from cubartin.coxeter import CoxeterTable
 from cubartin.garside import GarsideContext, GarsideElement
@@ -289,6 +292,34 @@ class TestGarsideDihedral:
         # Delta a = tau(a) Delta in B_3 (Delta = aba, tau swaps a and b)
         ctx = GarsideContext(dihedral_table(3))
         assert ctx.equal(parse_word("abaa"), parse_word("baba"))
+
+
+# I2(2-12), A3, B3, H3 and the reducible triangles (2, 2, m)
+GARSIDE_CONTEXTS = (
+    [GarsideContext(dihedral_table(n)) for n in range(2, 13)]
+    + [GarsideContext(triangle_table(m)) for m in (3, 4, 5)]
+    + [
+        GarsideContext(CoxeterTable(("a", "b", "c"), {("a", "b"): m, ("b", "c"): 2, ("a", "c"): 2}))
+        for m in (2, 3, 4, 5, 7)
+    ]
+)
+
+
+@st.composite
+def garside_words(draw):
+    """A context of GARSIDE_CONTEXTS and two words over its generators."""
+    ctx = draw(st.sampled_from(GARSIDE_CONTEXTS))
+    letter = st.tuples(st.sampled_from(ctx.table.gens), st.sampled_from((1, -1)))
+    w1, w2 = (tuple(draw(st.lists(letter, max_size=24))) for _ in range(2))
+    return ctx, w1, w2
+
+
+@settings(max_examples=300, deadline=None)
+@given(garside_words())
+def test_word_nf_and_mul_match_the_bubble(case):
+    ctx, w1, w2 = case
+    assert ctx.word_nf(w1) == bubble_normal_form(ctx, w1)
+    assert ctx.mul(ctx.word_nf(w1), ctx.word_nf(w2)) == bubble_normal_form(ctx, concat(w1, w2))
 
 
 class TestGarsideSL2Oracle:
