@@ -63,13 +63,17 @@ MAX_DIHEDRAL = 1000
 MAX_L, MAX_K, MAX_M = 9, 4, 4
 
 
-def DihedralContext(n: int) -> ArtinContext:
-    """A_n on a, b: the dihedral Artin group with label n."""
+def _dihedral_index(n: int) -> int:
     if n < 2:
         raise ValueError("dihedral index must be >= 2")
     if n > MAX_DIHEDRAL:
         raise ValueError(f"dihedral index {n} exceeds the bound {MAX_DIHEDRAL}")
-    return ArtinContext(("a", "b"), {("a", "b"): n})
+    return n
+
+
+def DihedralContext(n: int) -> ArtinContext:
+    """A_n on a, b: the dihedral Artin group with label n."""
+    return ArtinContext(("a", "b"), {("a", "b"): _dihedral_index(n)})
 
 
 def SphericalContext(m: int) -> ArtinContext:
@@ -120,6 +124,9 @@ def even_rewrite(w: Word) -> Word:
     """Rewrite an even-length word in a, b as a word in r, s, t."""
     if len(w) % 2:
         raise ValueError("word has odd length")
+    for g, _ in w:
+        if g not in ("a", "b"):
+            raise ValueError(f"unknown letter {g!r}")
     return free_reduce(x for i in range(0, len(w), 2) for x in _PAIR_TABLE[w[i], w[i + 1]])
 
 
@@ -167,7 +174,7 @@ def psi_word(n: int) -> Word:
 def aprime_presentation(n: int) -> Presentation:
     """Presentation of A'_n on exactly {r, s, t}: rewrite the Artin relator
     and its a-conjugate through the even-word table."""
-    l, r = artin_relation("a", "b", n)
+    l, r = artin_relation("a", "b", _dihedral_index(n))
     relator = free_reduce(concat(l, invert(r)))
     conj = free_reduce(concat(parse_word("a"), relator, parse_word("A")))
     return Presentation(

@@ -5,9 +5,9 @@ product, facing, dual}, algebra {nf, equal, phi, commutator, center,
 bounded-checks}.  Output is line-oriented `key: value` text or a JSON
 document (`--format doc`); both are byte-deterministic for fixed inputs.
 
-Exit codes: 0 success, 1 negative verdict or failed check, 2 input error.
-The CUBARTIN_SEED environment variable seeds randomized test corpora in the
-test suite; the CLI itself is fully deterministic.
+Exit codes: 0 success, 1 negative verdict or failed check, 2 input error
+(any ValueError, printed as `error: ...`).  Each subcommand imports only the
+layers it calls.
 """
 
 from __future__ import annotations
@@ -16,22 +16,9 @@ import argparse
 import json
 import sys
 
-from . import artin_algebra as alg
-from . import constructions
-from . import cube_model
-from . import defining_graph as dg
-from . import toolkit
-from .garside import GarsideElement
-from .snf import abelian_invariants
-from .words import concat, exp_sum, parse_word, power, word_str
-
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
-
-
-class InputError(Exception):
-    pass
 
 
 def _flatten(payload, prefix=""):
@@ -62,31 +49,49 @@ def _read(path: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
 
 
-def _load_graph(path: str) -> dg.DefiningGraph:
+def _write(path: str, text: str) -> None:
     try:
-        return dg.parse_graph(_read(path))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from None
+
+
+def _load_graph(path: str):
+    from .defining_graph import parse_graph
+
+    text = _read(path)
+    try:
+        return parse_graph(text)
     except ValueError as exc:
-        raise InputError(f"graph parse error: {exc}") from None
+        raise ValueError(f"graph parse error: {exc}") from None
 
 
-def _load_complex(path: str) -> cube_model.CubeComplex:
+def _load_complex(path: str):
+    from .cube_model import parse_complex
+
+    text = _read(path)
     try:
-        return cube_model.parse_complex(_read(path))
+        return parse_complex(text)
     except ValueError as exc:
-        raise InputError(f"complex parse error: {exc}") from None
+        raise ValueError(f"complex parse error: {exc}") from None
 
 
-def _structure(c) -> toolkit.CubicalStructure:
+def _structure(c):
+    from .toolkit import CubicalStructure, NotCat0Error
+
     try:
-        return toolkit.CubicalStructure(c)
-    except toolkit.NotCat0Error as exc:
-        raise InputError(f"not a CAT(0) complex: {exc}") from None
+        return CubicalStructure(c)
+    except NotCat0Error as exc:
+        raise ValueError(f"not a CAT(0) complex: {exc}") from None
 
 
-def _plan_summary(plan: dg.ConstructionPlan) -> list[str]:
+def _plan_summary(plan) -> list[str]:
+    from . import defining_graph as dg
+
     out = []
     for piece in plan.pieces:
         if isinstance(piece, dg.Circle):
@@ -103,7 +108,7 @@ def _plan_summary(plan: dg.ConstructionPlan) -> list[str]:
     return out
 
 
-def _nf_text(ctx, nf: GarsideElement) -> str:
+def _nf_text(ctx, nf) -> str:
     factors = ["".join(ctx.table.words[f]) for f in nf.factors]
     return f"Delta^{nf.inf} . [{' '.join(factors)}]"
 
@@ -111,6 +116,8 @@ def _nf_text(ctx, nf: GarsideElement) -> str:
 # -- core subcommands --------------------------------------------------------
 
 def cmd_analyze(args) -> int:
+    from . import defining_graph as dg
+
     g = _load_graph(args.graph)
     v = dg.verdict(g)
     payload = {
@@ -131,8 +138,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_build(args) -> int:
+    from . import constructions, cube_model
+    from .defining_graph import verdict
+    from .snf import abelian_invariants
+
     g = _load_graph(args.graph)
-    v = dg.verdict(g)
+    v = verdict(g)
     if v.plan is None:
         payload = {
             "command": "build",
@@ -144,22 +155,18 @@ def cmd_build(args) -> int:
         return EXIT_NEGATIVE
     top = max(g.edges.values(), default=0)
     if top > constructions.MAX_LABEL:
-        raise InputError(f"label {top} exceeds the bound {constructions.MAX_LABEL}")
+        raise ValueError(f"label {top} exceeds the bound {constructions.MAX_LABEL}")
     c = constructions.build_from_plan(v.plan)
     violations = cube_model.check_npc(c)
     if violations:
-        raise InputError(f"built complex fails NPC: {violations[0]}")
+        raise ValueError(f"built complex fails NPC: {violations[0]}")
     extracted = constructions.extracted_presentation(c)
     artin = constructions.artin_presentation(g)
     ab_built = abelian_invariants(extracted.exponent_matrix(), len(extracted.generators))
     ab_artin = abelian_invariants(artin.exponent_matrix(), len(artin.generators))
     if ab_built != ab_artin:
-        raise InputError(
-            f"presentation mismatch: abelianization {ab_built} != {ab_artin}"
-        )
-    text = cube_model.complex_text(c)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        raise ValueError(f"presentation mismatch: abelianization {ab_built} != {ab_artin}")
+    _write(args.output, cube_model.complex_text(c))
     payload = {
         "command": "build",
         "verdict": v.kind,
@@ -175,9 +182,11 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import cube_model
+
     c = _load_complex(args.complex)
     if not c.vertices:
-        raise InputError("empty complex")
+        raise ValueError("empty complex")
     violations = cube_model.check_npc(c)
     links = {
         v: f"{len(link.link_vertices)} ends, {len(link.link_edges)} corners"
@@ -190,9 +199,7 @@ def cmd_verify(args) -> int:
         "links": links,
     }
     if violations:
-        payload["violations"] = [
-            f"{w.vertex}: {w.kind} ({w.detail})" for w in violations
-        ]
+        payload["violations"] = [f"{w.vertex}: {w.kind} ({w.detail})" for w in violations]
     emit(payload, args.format)
     return EXIT_OK if not violations else EXIT_NEGATIVE
 
@@ -202,34 +209,31 @@ def cmd_verify(args) -> int:
 def _vertex_list(text: str) -> list[str]:
     vs = [v for v in text.split(",") if v]
     if not vs:
-        raise InputError("empty vertex list")
+        raise ValueError("empty vertex list")
     return vs
 
 
 def _require(value, message: str):
     if value is None:
-        raise InputError(message)
+        raise ValueError(message)
     return value
 
 
 def cmd_toolkit(args) -> int:
     if args.tool == "dual":
-        _require(args.wallspace, "dual needs --wallspace")
-        try:
-            w = toolkit.parse_wallspace(_read(args.wallspace))
-            c = toolkit.sageev_dual(w)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        from .cube_model import complex_text
+        from .toolkit import is_median, parse_wallspace, sageev_dual
+
+        c = sageev_dual(parse_wallspace(_read(_require(args.wallspace, "dual needs --wallspace"))))
         payload = {
             "command": "toolkit dual",
             "vertices": len(c.vertices),
             "edges": len(c.edges),
             "squares": len(c.squares),
-            "median": toolkit.is_median(c),
+            "median": is_median(c),
         }
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(cube_model.complex_text(c))
+            _write(args.output, complex_text(c))
             payload["output"] = args.output
         emit(payload, args.format)
         return EXIT_OK
@@ -276,13 +280,11 @@ def cmd_toolkit(args) -> int:
                 "hyperplanes": sorted(cls),
                 "vertices": len(factor),
             }
-    elif args.tool == "facing":
+    else:  # facing, as argparse restricts the choices
         found, witness = s.has_facing_triple()
         payload = {"command": "toolkit facing", "facing_triple": found}
         if witness:
             payload["witness"] = list(witness)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown tool {args.tool}")
     emit(payload, args.format)
     return EXIT_OK
 
@@ -290,24 +292,22 @@ def cmd_toolkit(args) -> int:
 # -- algebra subcommands -------------------------------------------------------
 
 def _algebra_context(args):
+    from . import artin_algebra as alg
+
     if getattr(args, "dihedral", None) is not None:
         return alg.DihedralContext(args.dihedral)
     if getattr(args, "type", None) is not None:
         return alg.SphericalContext(args.type)
-    raise InputError("need --dihedral n or --type m")
-
-
-def _parse_cli_word(text: str):
-    try:
-        return parse_word(text)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    raise ValueError("need --dihedral n or --type m")
 
 
 def cmd_algebra(args) -> int:
+    from . import artin_algebra as alg
+    from .words import concat, exp_sum, parse_word, power, word_str
+
     if args.op == "nf":
         ctx = _algebra_context(args)
-        nf = ctx.nf(_parse_cli_word(_require(args.word, "nf needs --word")))
+        nf = ctx.nf(parse_word(_require(args.word, "nf needs --word")))
         emit(
             {
                 "command": "algebra nf",
@@ -322,8 +322,8 @@ def cmd_algebra(args) -> int:
     if args.op == "equal":
         ctx = _algebra_context(args)
         equal = ctx.equal(
-            _parse_cli_word(_require(args.word, "equal needs --word")),
-            _parse_cli_word(_require(args.word2, "equal needs --word2")),
+            parse_word(_require(args.word, "equal needs --word")),
+            parse_word(_require(args.word2, "equal needs --word2")),
         )
         emit(
             {
@@ -336,13 +336,10 @@ def cmd_algebra(args) -> int:
         return EXIT_OK if equal else EXIT_NEGATIVE
     if args.op == "phi":
         if args.dihedral is None:
-            raise InputError("phi needs --dihedral n (odd)")
-        try:
-            # the context refuses an index past its bound before phi is built
-            ctx = alg.DihedralContext(args.dihedral)
-            phi = alg.build_phi(args.dihedral)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+            raise ValueError("phi needs --dihedral n (odd)")
+        # the context refuses an index past its bound before phi is built
+        ctx = alg.DihedralContext(args.dihedral)
+        phi = alg.build_phi(args.dihedral)
         expanded = alg.expand_prime(phi)
         checks = {
             "exp_r_zero": exp_sum(phi, "r") == 0,
@@ -362,9 +359,9 @@ def cmd_algebra(args) -> int:
         return EXIT_OK if all(checks.values()) else EXIT_NEGATIVE
     if args.op == "commutator":
         if args.dihedral is None:
-            raise InputError("commutator needs --dihedral n")
+            raise ValueError("commutator needs --dihedral n")
         p = alg.aprime_presentation(args.dihedral)
-        w = alg.expand_prime(_parse_cli_word(_require(args.word, "commutator needs --word")))
+        w = alg.expand_prime(parse_word(_require(args.word, "commutator needs --word")))
         # membership is tested in the A'_n presentation on r, s, t
         word_rst = alg.even_rewrite(w)
         member = alg.commutator_membership(p, word_rst)
@@ -384,14 +381,14 @@ def cmd_algebra(args) -> int:
         return EXIT_OK if report["central"] else EXIT_NEGATIVE
     if args.op == "bounded-checks":
         if args.type is None:
-            raise InputError("bounded-checks needs --type 3|4|5")
+            raise ValueError("bounded-checks needs --type 3|4|5")
         ctx = alg.SphericalContext(args.type)
         report = alg.bounded_lemma_checks(ctx, L=args.L, K=args.K, M=args.M)
         report["violations"] = [" ".join(str(x) for x in v) for v in report["violations"]]
         emit({"command": "algebra bounded-checks", **report}, args.format)
         ok = report["ii_verified"] and report["iii_verified"]
         return EXIT_OK if ok else EXIT_NEGATIVE
-    raise InputError(f"unknown algebra op {args.op}")  # pragma: no cover
+    raise ValueError(f"unknown algebra op {args.op}")  # pragma: no cover
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -452,7 +449,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

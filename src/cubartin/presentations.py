@@ -5,10 +5,13 @@ chain edges, each disc of relators they glue in one walk."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import graphs
-from .cube_model import CubeComplex
 from .words import Word, cyclic_reduce, free_reduce, invert
+
+if TYPE_CHECKING:
+    from .cube_model import CubeComplex
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,6 @@ from __future__ import annotations
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
 
-EMPTY: Word = ()
-
 
 def parse_word(text: str) -> Word:
     """Parse an ASCII word (lowercase = generator, uppercase = inverse)."""

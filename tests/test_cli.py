@@ -105,6 +105,13 @@ class TestBuildVerify:
         assert code == 1
         assert "refused: true" in out
 
+    def test_build_to_an_unwritable_path_exits_2(self, capsys, graph_file, tmp_path):
+        out_path = tmp_path / "missing" / "out.complex"
+        code, out, err = run(capsys, "build", "--graph", graph_file(PATH_46), "-o", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {out_path}: ")
+        assert "Traceback" not in err
+
     def test_build_refuses_a_label_past_the_bound(self, capsys, graph_file, tmp_path):
         bound = constructions.MAX_LABEL
         for label in (bound + 1, bound + 2, 10**9):
@@ -305,6 +312,15 @@ class TestToolkit:
         assert "error:" in err
         code, _, err = run(capsys, "toolkit", "dual")
         assert code == 2
+
+    def test_dual_to_an_unwritable_path_exits_2(self, capsys, tmp_path):
+        walls = tmp_path / "walls.txt"
+        walls.write_text(WALLS_SQUARE)
+        out_path = tmp_path / "missing" / "dual.complex"
+        code, out, err = run(capsys, "toolkit", "dual", "--wallspace", str(walls), "-o", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {out_path}: ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("points", ["0", "-3", "x"])
     def test_dual_refuses_bad_point_count(self, capsys, tmp_path, points):
@@ -521,6 +537,73 @@ class TestAlgebra:
         assert code == 2
         assert out == ""
         assert f"{flag[2]} = 5 exceeds the bound 4" in err
+
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--dihedral", "3", "--word", "xx"), "unknown letter 'x'"),
+            (("--dihedral", "3", "--word", "rxxq"), "unknown letter 'x'"),
+            (("--dihedral", "0", "--word", "s"), "dihedral index must be >= 2"),
+            (("--dihedral", "-5", "--word", "s"), "dihedral index must be >= 2"),
+            (("--dihedral", "1001", "--word", "s"), "dihedral index 1001 exceeds the bound 1000"),
+            (("--dihedral", "1000001", "--word", "s"), "dihedral index 1000001 exceeds the bound 1000"),
+        ],
+    )
+    def test_commutator_input_errors_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "algebra", "commutator", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestImports:
+    """Each subcommand imports only the layers it calls, in a fresh interpreter."""
+
+    def loaded(self, *argv):
+        probe = (
+            "import sys\n"
+            "from cubartin import cli\n"
+            "cli.main(sys.argv[1:])\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('cubartin'))))\n"
+        )
+        r = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+        assert "Traceback" not in r.stderr, r.stderr
+        return {m.removeprefix("cubartin.") for m in r.stdout.splitlines()[-1].split()} - {"cubartin"}
+
+    def test_package_root_loads_no_submodule(self):
+        r = subprocess.run(
+            [sys.executable, "-c", "import sys, cubartin\nprint([m for m in sys.modules if m.startswith('cubartin.')])"],
+            capture_output=True,
+            text=True,
+        )
+        assert (r.returncode, r.stdout) == (0, "[]\n"), r.stderr
+
+    def test_analyze(self, graph_file):
+        got = self.loaded("analyze", "--graph", graph_file(PATH_46))
+        assert got == {"cli", "defining_graph", "graphs", "coxeter", "words"}
+
+    def test_verify(self, tmp_path):
+        cx = tmp_path / "out.complex"
+        cx.write_text(cube_model.complex_text(constructions.build_K_odd(5)))
+        assert self.loaded("verify", "--complex", str(cx)) == {"cli", "cube_model", "graphs"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("nf", "--type", "5", "--word", "abcABC"),
+            ("phi", "--dihedral", "7"),
+            ("commutator", "--dihedral", "5", "--word", "rsRS"),
+            ("bounded-checks", "--type", "3", "--L", "2"),
+        ],
+    )
+    def test_algebra(self, argv):
+        got = self.loaded("algebra", *argv)
+        assert "artin_algebra" in got
+        assert not got & {"cube_model", "toolkit", "constructions", "defining_graph"}
+
+    def test_build(self, graph_file, tmp_path):
+        got = self.loaded("build", "--graph", graph_file(PATH_46), "-o", str(tmp_path / "out.complex"))
+        assert "constructions" in got
+        assert not got & {"toolkit", "artin_algebra", "garside"}
 
 
 class TestDeterminism:
