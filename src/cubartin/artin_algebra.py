@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .coxeter import CoxeterTable
 from .garside import GarsideContext, GarsideElement
-from .snf import in_row_span
+from .snf import abelian_invariants
 from .presentations import Presentation
 from .words import (
     Word,
@@ -185,14 +185,19 @@ def aprime_presentation(n: int) -> Presentation:
 
 def commutator_membership(p: Presentation, w: Word) -> bool:
     """Whether w lies in the commutator subgroup: trivial image in the
-    abelianization, i.e. its exponent vector is in the relator row lattice."""
+    abelianization, i.e. its exponent vector v is in the relator row lattice
+    L.  That holds exactly when adding v as a relator leaves the abelian
+    invariants unchanged: Z^n/L maps onto Z^n/(L + <v>), a finitely
+    generated abelian group is Hopfian (Vasconcelos, Trans. AMS 138, 1969),
+    so an isomorphic quotient is the group itself, and then v is in L."""
     index = {g: i for i, g in enumerate(p.generators)}
     vec = [0] * len(p.generators)
     for g, e in w:
         if g not in index:
             raise ValueError(f"unknown generator {g!r}")
         vec[index[g]] += e
-    return in_row_span(p.exponent_matrix(), vec)
+    m = p.exponent_matrix()
+    return abelian_invariants(m + [vec], len(vec)) == abelian_invariants(m, len(vec))
 
 
 # -- lemma instance checks -----------------------------------------------------

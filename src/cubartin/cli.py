@@ -294,9 +294,9 @@ def cmd_toolkit(args) -> int:
 def _algebra_context(args):
     from . import artin_algebra as alg
 
-    if getattr(args, "dihedral", None) is not None:
+    if args.dihedral is not None:
         return alg.DihedralContext(args.dihedral)
-    if getattr(args, "type", None) is not None:
+    if args.type is not None:
         return alg.SphericalContext(args.type)
     raise ValueError("need --dihedral n or --type m")
 
@@ -305,6 +305,8 @@ def cmd_algebra(args) -> int:
     from . import artin_algebra as alg
     from .words import concat, exp_sum, parse_word, power, word_str
 
+    if args.dihedral is not None and args.type is not None:
+        raise ValueError("give --dihedral n or --type m, not both")
     if args.op == "nf":
         ctx = _algebra_context(args)
         nf = ctx.nf(parse_word(_require(args.word, "nf needs --word")))

@@ -223,9 +223,6 @@ def _product_cells(k: dict, z_name: str) -> dict:
             cubes.append(frozenset(eset | {zid(base)}))
         else:
             prisms.append(sid)
-    if base is None and single:
-        # cubes added above need a base vertex; plain prisms do not
-        base = vertices[0] if cubes else None
     return dict(
         vertices=vertices, edges=edges, squares=squares, salvetti_cubes=cubes,
         base_vertex=base, prisms=prisms, zloops=zloops, internal_edges=k["internal_edges"],

@@ -79,9 +79,13 @@ def _validate(c: CubeComplex) -> None:
     sids = [sid for sid, _ in c.squares]
     if len(set(sids)) != len(sids):
         raise ValueError("duplicate square ids")
+    if len(set(c.prisms)) != len(c.prisms):
+        raise ValueError("duplicate prism records")
     for e in c.edges:
         if e.src not in vset or e.dst not in vset:
             raise ValueError(f"edge {e.eid} references unknown vertex")
+    if c.base_vertex is not None and c.base_vertex not in vset:
+        raise ValueError(f"base {c.base_vertex} is not a vertex")
     emap = {e.eid: e for e in c.edges}
     for sid, ts in c.squares:
         if len(ts) != 4:
@@ -116,8 +120,15 @@ def _validate(c: CubeComplex) -> None:
             # the faces one dimension down suffice: closure follows by induction
             if len(cube) > 3 and any(cube - {e} not in c.salvetti_cubes for e in cube):
                 raise ValueError("salvetti cubes not closed under subsets")
+    zmap = {}
+    for v, z in c.zloops:
+        e = emap.get(z)
+        if e is None or not e.is_loop or e.src != v:
+            raise ValueError(f"z-loop {z} is not a loop at {v}")
+        if v in zmap:
+            raise ValueError(f"two z-loops at vertex {v}")
+        zmap[v] = z
     smap = dict(c.squares)
-    zmap = dict(c.zloops)
     for sid in c.prisms:
         if sid not in smap:
             raise ValueError(f"prism over unknown square {sid}")
@@ -126,10 +137,6 @@ def _validate(c: CubeComplex) -> None:
             for v in (e.src, e.dst):
                 if v not in zmap:
                     raise ValueError(f"prism over {sid}: no z-loop at vertex {v}")
-    for v, z in c.zloops:
-        e = emap.get(z)
-        if e is None or not e.is_loop or e.src != v:
-            raise ValueError(f"z-loop {z} is not a loop at {v}")
     unknown = sorted(c.internal_edges - emap.keys())
     if unknown:
         raise ValueError(f"internal record {unknown[0]} names no edge")
@@ -378,7 +385,7 @@ class ComplexParseError(ValueError):
 
 def parse_complex(text: str) -> CubeComplex:
     vertices, edges, squares = [], [], []
-    cubes, prisms, zloops, internal = [], [], [], []
+    cubes, prisms, zloops, internal = set(), [], [], []
     base = None
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
@@ -387,35 +394,36 @@ def parse_complex(text: str) -> CubeComplex:
     for ln in lines[1:]:
         parts = ln.split()
         kind = parts[0]
-        try:
-            if kind == "vertex" and len(parts) == 2:
-                vertices.append(parts[1])
-            elif kind == "edge" and len(parts) in (4, 5):
-                label = parts[4] if len(parts) == 5 else None
-                edges.append(Edge(parts[1], parts[2], parts[3], label))
-            elif kind == "square" and len(parts) == 6:
-                ts = []
-                for item in parts[2:]:
-                    if item[-1] not in "+-":
-                        raise ComplexParseError(f"bad traversal {item!r}")
-                    ts.append((item[:-1], 1 if item[-1] == "+" else -1))
-                squares.append((parts[1], tuple(ts)))
-            elif kind == "cube" and len(parts) >= 4:
-                cubes.append(frozenset(parts[1:]))
-            elif kind == "prism" and len(parts) == 2:
-                prisms.append(parts[1])
-            elif kind == "zloop" and len(parts) == 3:
-                zloops.append((parts[1], parts[2]))
-            elif kind == "base" and len(parts) == 2:
-                base = parts[1]
-            elif kind == "internal" and len(parts) == 2:
-                internal.append(parts[1])
-            else:
-                raise ComplexParseError(f"bad record {ln!r}")
-        except ComplexParseError:
-            raise
-        except ValueError as exc:
-            raise ComplexParseError(str(exc)) from None
+        if kind == "vertex" and len(parts) == 2:
+            vertices.append(parts[1])
+        elif kind == "edge" and len(parts) in (4, 5):
+            label = parts[4] if len(parts) == 5 else None
+            edges.append(Edge(parts[1], parts[2], parts[3], label))
+        elif kind == "square" and len(parts) == 6:
+            ts = []
+            for item in parts[2:]:
+                if item[-1] not in "+-":
+                    raise ComplexParseError(f"bad traversal {item!r}")
+                ts.append((item[:-1], 1 if item[-1] == "+" else -1))
+            squares.append((parts[1], tuple(ts)))
+        elif kind == "cube" and len(parts) >= 4:
+            # the complex keeps a set of cubes, which would merge a repeat
+            cube = frozenset(parts[1:])
+            if cube in cubes:
+                raise ComplexParseError(f"duplicate record {ln!r}")
+            cubes.add(cube)
+        elif kind == "prism" and len(parts) == 2:
+            prisms.append(parts[1])
+        elif kind == "zloop" and len(parts) == 3:
+            zloops.append((parts[1], parts[2]))
+        elif kind == "base" and len(parts) == 2:
+            if base is not None:
+                raise ComplexParseError(f"second base record {ln!r}")
+            base = parts[1]
+        elif kind == "internal" and len(parts) == 2:
+            internal.append(parts[1])
+        else:
+            raise ComplexParseError(f"bad record {ln!r}")
     try:
         return make_complex(
             vertices, edges, squares, cubes, base, prisms, zloops, internal

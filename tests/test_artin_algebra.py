@@ -1,7 +1,14 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import brute_bounded_lemma_checks, positive_equal, subgroup_presentation
+from oracles import (
+    brute_bounded_lemma_checks,
+    diagonal,
+    in_row_span,
+    positive_equal,
+    smith_normal_form,
+    subgroup_presentation,
+)
 
 from cubartin import artin_algebra as aa
 from cubartin.snf import abelian_invariants
@@ -144,7 +151,7 @@ class TestPhiPsi:
         lhs = concat(aa.expand_prime(aa.psi_word(n)), ctx.z_word)
         assert ctx.equal(lhs, power(parse_word("b"), 2 * n))
 
-    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15])
     def test_psi_in_commutator_subgroup(self, n):
         p = aa.aprime_presentation(n)
         psi = aa.psi_word(n)
@@ -226,6 +233,51 @@ class TestCommutatorMembership:
 
         with pytest.raises(ValueError, match="unknown"):
             aa.commutator_membership(Presentation(("a",), ()), parse_word("x"))
+
+    @pytest.mark.parametrize("k, member", [(4, True), (3, False), (1, False)])
+    def test_cyclic_of_order_two(self, k, member):
+        from cubartin.presentations import Presentation
+
+        p = Presentation(("a",), (parse_word("aa"),))
+        assert aa.commutator_membership(p, parse_word("a" * k)) is member
+
+    @staticmethod
+    def smith_invariants(m, ngens):
+        diag = diagonal(smith_normal_form(m)[0])
+        return tuple(x for x in diag if x > 1), ngens - sum(1 for x in diag if x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda cols: st.tuples(
+                st.lists(st.lists(st.integers(-6, 6), min_size=cols, max_size=cols), max_size=6),
+                st.lists(st.integers(-6, 6), min_size=cols, max_size=cols),
+                st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+            )
+        )
+    )
+    @example(([], [], [0] * 6))  # the empty matrix on no generators
+    @example(([], [0, 1], [0] * 6))  # no relators
+    @example(([[0, 0], [2, 0]], [4, 0], [0] * 6))  # a zero row and a zero column
+    @example(([[2], [3], [0]], [1], [0] * 6))  # more rows than columns
+    def test_agrees_with_smith_oracle(self, case):
+        """The diagonal-only invariants and the invariant comparison agree
+        with the transform-carrying Smith form and its row-span test, on a
+        random vector and on an integer combination of the rows."""
+        from cubartin.presentations import Presentation
+
+        m, vec, coeffs = case
+        gens = tuple(f"g{j}" for j in range(len(vec)))
+
+        def word(row):
+            return tuple((g, 1 if x > 0 else -1) for g, x in zip(gens, row) for _ in range(abs(x)))
+
+        p = Presentation(gens, tuple(map(word, m)))
+        assert p.exponent_matrix() == m
+        assert abelian_invariants(m, len(gens)) == self.smith_invariants(m, len(gens))
+        combo = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(len(gens))]
+        assert aa.commutator_membership(p, word(vec)) == in_row_span(m, vec)
+        assert aa.commutator_membership(p, word(combo)) and in_row_span(m, combo)
 
 
 class TestPositiveOracle:

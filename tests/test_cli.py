@@ -17,6 +17,10 @@ GAP = (
     "edge a b 2\nedge b c 3\nedge a c 4\nedge a d 3\n"
 )
 WALLS_SQUARE = "points 4\nwall 0011\nwall 0101\n"
+K3_CIRCLE = "vertex a\nvertex b\nvertex c\nedge a b 3\nedge a c 2\nedge b c 2\n"
+K4_SALVETTI = "".join(f"vertex {v}\n" for v in "abcd") + "".join(
+    f"edge {u} {v} 2\n" for u, v in combinations("abcd", 2)
+)
 
 
 def run(capsys, *argv):
@@ -214,6 +218,29 @@ class TestBuildVerify:
         code, out, err = run(capsys, "verify", "--complex", str(bad))
         assert (code, out) == (2, "")
         assert "internal record nosuch names no edge" in err
+
+    @pytest.mark.parametrize(
+        "graph,edit,message",
+        [
+            (K3_CIRCLE, lambda t: t.replace("prism a.b.s1\n", "prism a.b.s1\n" * 2),
+             "duplicate prism records"),
+            (K4_SALVETTI, lambda t: t.replace("cube a b c\n", "cube a b c\n" * 2),
+             "duplicate record 'cube a b c'"),
+            (K3_CIRCLE, lambda t: t + "base nosuch\n", "base nosuch is not a vertex"),
+            (K4_SALVETTI, lambda t: t + "base v0\n", "second base record 'base v0'"),
+            (K3_CIRCLE, lambda t: t + "edge w v0 v0\nzloop v0 w\n", "two z-loops at vertex v0"),
+            (K3_CIRCLE, lambda t: t + "zloop v0 c.v0\n", "two z-loops at vertex v0"),
+        ],
+        ids=["prism", "cube", "base-not-a-vertex", "second-base", "zloops", "zloop-repeated"],
+    )
+    def test_verify_refuses_a_repeated_or_ambiguous_cell_record(
+        self, capsys, graph_file, tmp_path, graph, edit, message
+    ):
+        cx = tmp_path / "out.complex"
+        assert run(capsys, "build", "--graph", graph_file(graph), "-o", str(cx))[0] == 0
+        cx.write_text(edit(cx.read_text()))
+        code, out, err = run(capsys, "verify", "--complex", str(cx))
+        assert (code, out, err) == (2, "", f"error: complex parse error: {message}\n")
 
 
 class TestToolkit:
@@ -553,6 +580,21 @@ class TestAlgebra:
     def test_commutator_input_errors_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, "algebra", "commutator", *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("nf", "--word", "ab"),
+            ("equal", "--word", "ab", "--word2", "ba"),
+            ("center",),
+            ("phi",),
+            ("commutator", "--word", "s"),
+            ("bounded-checks", "--L", "2", "--K", "1", "--M", "1"),
+        ],
+    )
+    def test_dihedral_and_type_together_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "algebra", argv[0], "--dihedral", "3", "--type", "3", *argv[1:])
+        assert (code, out, err) == (2, "", "error: give --dihedral n or --type m, not both\n")
 
 
 class TestImports:

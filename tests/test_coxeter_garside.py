@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bubble_normal_form
+from oracles import bubble_normal_form, in_row_span, smith_normal_form
 
 from cubartin.coxeter import CoxeterTable
 from cubartin.garside import GarsideContext, GarsideElement
-from cubartin.snf import abelian_invariants, in_row_span, smith_normal_form
+from cubartin.snf import abelian_invariants
 from cubartin.words import concat, invert, parse_word
 
 
