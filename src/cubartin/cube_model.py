@@ -407,10 +407,10 @@ def parse_complex(text: str) -> CubeComplex:
                 ts.append((item[:-1], 1 if item[-1] == "+" else -1))
             squares.append((parts[1], tuple(ts)))
         elif kind == "cube" and len(parts) >= 4:
-            # the complex keeps a set of cubes, which would merge a repeat
+            # a cube is a set of edges in a set of cubes: either would merge a repeat
             cube = frozenset(parts[1:])
-            if cube in cubes:
-                raise ComplexParseError(f"duplicate record {ln!r}")
+            if cube in cubes or len(cube) < len(parts) - 1:
+                raise ComplexParseError(f"repeated cube or edge in {ln!r}")
             cubes.add(cube)
         elif kind == "prism" and len(parts) == 2:
             prisms.append(parts[1])

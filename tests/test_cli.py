@@ -225,13 +225,15 @@ class TestBuildVerify:
             (K3_CIRCLE, lambda t: t.replace("prism a.b.s1\n", "prism a.b.s1\n" * 2),
              "duplicate prism records"),
             (K4_SALVETTI, lambda t: t.replace("cube a b c\n", "cube a b c\n" * 2),
-             "duplicate record 'cube a b c'"),
+             "repeated cube or edge in 'cube a b c'"),
+            (K4_SALVETTI, lambda t: t.replace("cube a b c\n", "cube a a b c\n"),
+             "repeated cube or edge in 'cube a a b c'"),
             (K3_CIRCLE, lambda t: t + "base nosuch\n", "base nosuch is not a vertex"),
             (K4_SALVETTI, lambda t: t + "base v0\n", "second base record 'base v0'"),
             (K3_CIRCLE, lambda t: t + "edge w v0 v0\nzloop v0 w\n", "two z-loops at vertex v0"),
             (K3_CIRCLE, lambda t: t + "zloop v0 c.v0\n", "two z-loops at vertex v0"),
         ],
-        ids=["prism", "cube", "base-not-a-vertex", "second-base", "zloops", "zloop-repeated"],
+        ids=["prism", "cube", "cube-edge", "base-not-a-vertex", "second-base", "zloops", "zloop-repeated"],
     )
     def test_verify_refuses_a_repeated_or_ambiguous_cell_record(
         self, capsys, graph_file, tmp_path, graph, edit, message
